@@ -203,9 +203,11 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   // --- Collect ------------------------------------------------------------
   ClusterResult result;
   result.throughput_tps = metrics.throughput_tps(cfg.warmup, cfg.duration);
-  result.avg_latency_ms = metrics.latencies().mean();
-  result.p50_latency_ms = metrics.latencies().percentile(50);
-  result.p99_latency_ms = metrics.latencies().percentile(99);
+  const Percentiles latencies = metrics.latencies();
+  result.latency_samples = latencies.count();
+  result.avg_latency_ms = latencies.mean();
+  result.p50_latency_ms = latencies.percentile(50);
+  result.p99_latency_ms = latencies.percentile(99);
   result.committed_txs = metrics.committed_txs();
   result.submitted_txs = metrics.submitted_txs();
   result.commit_events = metrics.commit_events();
@@ -222,13 +224,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
         std::max<std::uint64_t>(result.ledger_blocks_max, l.size());
   }
 
-  double up_bytes = 0;
-  for (NodeId id : consensus_ids) {
-    up_bytes += static_cast<double>(net.stats(id).bytes_sent);
-  }
-  result.consensus_uplink_mbps =
-      up_bytes / static_cast<double>(cfg.n_consensus) * 8.0 / 1e6 /
-      to_seconds(cfg.duration);
+  result.consensus_uplink_mbps = runtime::mean_uplink_mbps(net, consensus_ids);
   result.leader_proposal_bytes = net.stats(consensus_ids[0]).bytes_sent;
   if (cfg.ctx.tracer != nullptr) {
     result.stage_latency = cfg.ctx.tracer->stage_breakdown();

@@ -77,6 +77,9 @@ struct ClusterResult {
   double avg_latency_ms = 0.0;   ///< Client-observed, post-warmup.
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
+  /// Latency samples behind the three figures above; 0 means they are
+  /// undefined (reports print null / "no samples"), not 0 ms.
+  std::uint64_t latency_samples = 0;
   std::uint64_t committed_txs = 0;
   std::uint64_t submitted_txs = 0;
   std::size_t commit_events = 0;  ///< Blocks/batches decided.
@@ -85,15 +88,15 @@ struct ClusterResult {
   bool ledgers_consistent = true;
   std::uint64_t ledger_blocks_min = 0;  ///< Slowest node's chain length.
   std::uint64_t ledger_blocks_max = 0;
-  double consensus_uplink_mbps = 0.0;  ///< Mean consensus-node uplink use.
+  /// Mean consensus-node uplink use (runtime::mean_uplink_mbps).
+  double consensus_uplink_mbps = 0.0;
   std::uint64_t leader_proposal_bytes = 0;  ///< Proposal traffic (node 0).
   /// Filled when config.ctx.tracer was set: per-stage latency breakdowns.
   std::vector<TraceStageStats> stage_latency;
   /// SHA-256 over every node's final hash-chained ledger (lengths +
-  /// head hashes) and the committed-tx count. Two backends that decided
-  /// the same blocks in the same order agree on this string; the
-  /// backend-equivalence tests compare it across Runtime
-  /// implementations.
+  /// head hashes) and the committed-tx count. Two runs that decided the
+  /// same blocks in the same order agree on this string; the
+  /// golden-digest tests pin it for a fixed scenario.
   std::string commit_digest;
 };
 

@@ -193,19 +193,21 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
   ThroughputResult result;
   result.throughput_tps =
       metrics.throughput_tps(setup + cfg.warmup, setup + cfg.duration);
-  result.avg_latency_ms = metrics.latencies().mean();
+  const Percentiles latencies = metrics.latencies();
+  result.latency_samples = latencies.count();
+  result.avg_latency_ms = latencies.mean();
+  result.p50_latency_ms = latencies.percentile(50);
+  result.p99_latency_ms = latencies.percentile(99);
+  result.committed_txs = metrics.committed_txs();
   result.consistent = ledger.consistent();
-  double up = 0;
   for (NodeId id : consensus_ids) {
     const runtime::TrafficStats stats = net.stats(id);
     metrics.record_bytes_sent(stats.bytes_sent);
     metrics.record_bytes_received(stats.bytes_received);
-    up += static_cast<double>(stats.bytes_sent);
   }
   result.consensus_bytes_sent = metrics.bytes_sent();
   result.consensus_bytes_received = metrics.bytes_received();
-  result.consensus_uplink_mbps = up / static_cast<double>(cfg.n_consensus) *
-                                 8.0 / 1e6 / to_seconds(cfg.duration);
+  result.consensus_uplink_mbps = runtime::mean_uplink_mbps(net, consensus_ids);
   // Coverage over blocks announced early enough to have had time to
   // propagate (exclude the trailing 3 simulated seconds).
   if (!full_ids.empty()) {

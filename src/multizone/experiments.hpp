@@ -55,8 +55,15 @@ struct ThroughputConfig {
 
 struct ThroughputResult {
   double throughput_tps = 0.0;
+  /// Client-observed commit latency, post-warmup, computed as
+  /// core::run_cluster does; undefined when latency_samples is 0.
   double avg_latency_ms = 0.0;
+  double p50_latency_ms = 0.0;
+  double p99_latency_ms = 0.0;
+  std::uint64_t latency_samples = 0;
+  std::uint64_t committed_txs = 0;  ///< Transactions, not blocks.
   bool consistent = true;
+  /// Mean consensus-node uplink use (runtime::mean_uplink_mbps).
   double consensus_uplink_mbps = 0.0;
   /// Aggregate wire bytes over consensus nodes (Metrics byte counters).
   std::uint64_t consensus_bytes_sent = 0;

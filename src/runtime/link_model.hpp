@@ -1,7 +1,5 @@
-// The cut-through fluid transfer model shared by both deterministic
-// backends (sim::Network and ThreadRuntime's logical-clock mode), so
-// the two compute byte-identical delivery timestamps from the same
-// send sequence.
+// The cut-through fluid transfer model behind SimRuntime, the
+// deterministic backend: one copy of the paper's x_i/ls model.
 //
 // For a message of S bytes from A to B,
 //   first byte leaves A at  t0 = max(now, A.uplink_busy)
@@ -15,10 +13,9 @@
 // the sender's uplink — which is exactly the model in the paper's
 // throughput analysis (§III-F: uploading bandwidth x_i, delay ls).
 //
-// The model also owns the per-node bookkeeping every backend needs:
-// actor attachment, regions, down flags, traffic counters, the fault
-// hooks (drop filter / extra delay) and the delivery tracer. It is not
-// thread-safe — callers in a threaded backend serialize access.
+// The model also owns the per-node bookkeeping: actor attachment,
+// regions, down flags, traffic counters, the fault hooks (drop filter /
+// extra delay) and the delivery tracer. It is not thread-safe.
 #pragma once
 
 #include <algorithm>
@@ -62,9 +59,8 @@ class LinkModel {
   };
 
   /// Run the sender-side half of a transfer: fault checks, uplink
-  /// serialization and byte accounting. Mirrors the historical
-  /// sim::Network::send exactly — order of checks included — so traces
-  /// stay byte-identical.
+  /// serialization and byte accounting. The order of the checks is
+  /// part of the golden trace digests — keep it.
   Planned plan_send(NodeId from, NodeId to, const Message& msg, SimTime now) {
     if (from >= nodes_.size() || to >= nodes_.size()) {
       throw std::out_of_range("LinkModel::plan_send: unknown node");

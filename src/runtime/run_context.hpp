@@ -23,12 +23,12 @@ struct RunContext {
 
   /// Optional delivery-trace hasher installed on the backend
   /// (Runtime::set_tracer) — the byte-identity witness used by swarm
-  /// replay and the backend-equivalence tests.
+  /// replay and the golden-digest tests.
   TraceHasher* trace = nullptr;
 
   /// Run on this externally-owned backend instead of the harness's
-  /// internal SimRuntime. The caller configures the backend (clock
-  /// mode, workers, latency matrix) and keeps it alive for the run;
+  /// internal SimRuntime. The caller configures the backend (workers,
+  /// latency matrix) and keeps it alive for the run;
   /// the harness still wires nodes, faults and clients through it.
   Runtime* backend = nullptr;
 

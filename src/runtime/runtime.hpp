@@ -12,17 +12,13 @@
 //
 // Two backends implement the interface:
 //
-//   * sim::Network (wrapped by SimRuntime) — the deterministic
-//     discrete-event simulator. Bit-identical to the pre-seam
-//     simulator: swarm digests and invariants are unchanged.
+//   * SimRuntime — the deterministic discrete-event simulator and the
+//     one oracle: a seed fixes every delivery, and golden digests in
+//     tests/runtime pin the schedule (see docs/runtime.md).
 //   * ThreadRuntime — per-node inbound MPSC queues, a timer wheel and
-//     a worker pool; wall-clock mode gives hardware-limited numbers,
-//     logical-clock mode reproduces the simulator byte-for-byte
-//     (tests/runtime enforces this, see docs/runtime.md).
+//     a worker pool on wall-clock time; gives hardware-limited numbers.
 //
-// Protocol code outside src/sim/ and src/runtime/ must name only this
-// interface, never sim::Network or the Simulator — predis-lint rule D6
-// enforces that statically.
+// Protocol and harness code talks only to this interface.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +120,7 @@ class Runtime {
   // --- Clock and timers ------------------------------------------------
 
   /// Current time in nanoseconds: virtual on deterministic backends,
-  /// wall-clock-since-start on ThreadRuntime's wall mode.
+  /// wall-clock-since-start on ThreadRuntime.
   virtual SimTime now() const = 0;
 
   /// Schedule `fn` after `delay` (>= 0) on behalf of node `owner`.
@@ -200,5 +196,20 @@ class Runtime {
   /// Total bytes put on the wire by all nodes.
   virtual std::uint64_t total_bytes_sent() const = 0;
 };
+
+/// Mean uplink use of `nodes` in Mbps. Each node's bytes are divided by
+/// the time its uplink needs to finish sending them — now() plus the
+/// queued backlog — so the figure can never exceed link capacity.
+inline double mean_uplink_mbps(const Runtime& net,
+                               const std::vector<NodeId>& nodes) {
+  double sum = 0.0;
+  for (NodeId id : nodes) {
+    const SimTime busy_until = net.now() + net.uplink_backlog(id);
+    if (busy_until <= 0) continue;
+    sum += static_cast<double>(net.stats(id).bytes_sent) * 8.0 / 1e6 /
+           to_seconds(busy_until);
+  }
+  return nodes.empty() ? 0.0 : sum / static_cast<double>(nodes.size());
+}
 
 }  // namespace predis::runtime

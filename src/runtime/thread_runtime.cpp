@@ -1,7 +1,6 @@
-// predis-lint: allow-file(D2): the wall-clock mode of this backend is
-// the one place outside benchmarks where real time is the product —
-// every other module still gets its time exclusively through
-// Runtime::now().
+// predis-lint: allow-file(D2): this wall-clock backend is the one place
+// outside benchmarks where real time is the product — every other
+// module still gets its time exclusively through Runtime::now().
 #include "runtime/thread_runtime.hpp"
 
 #include <algorithm>
@@ -16,17 +15,13 @@ std::chrono::nanoseconds to_chrono(SimTime t) {
 }  // namespace
 
 ThreadRuntime::ThreadRuntime(ThreadRuntimeConfig config)
-    : cfg_(std::move(config)),
-      links_(cfg_.latency),
-      epoch_(std::chrono::steady_clock::now()) {
-  if (cfg_.clock == ClockMode::kWall) {
-    const std::size_t n = cfg_.workers == 0 ? 1 : cfg_.workers;
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-    timer_thread_ = std::thread([this] { timer_loop(); });
+    : cfg_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {
+  const std::size_t n = cfg_.workers == 0 ? 1 : cfg_.workers;
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
+  timer_thread_ = std::thread([this] { timer_loop(); });
 }
 
 ThreadRuntime::~ThreadRuntime() {
@@ -46,49 +41,41 @@ ThreadRuntime::~ThreadRuntime() {
 }
 
 NodeId ThreadRuntime::add_node(const NodeConfig& config) {
-  const NodeId id = links_.add_node(config);
-  if (cfg_.clock == ClockMode::kWall) {
-    auto mb = std::make_unique<Mailbox>();
-    mb->config = config;
-    mailboxes_.push_back(std::move(mb));
+  if (config.region >= cfg_.latency.regions()) {
+    throw std::invalid_argument("ThreadRuntime::add_node: unknown region");
   }
-  return id;
+  if (config.up_bw <= 0 || config.down_bw <= 0) {
+    throw std::invalid_argument(
+        "ThreadRuntime::add_node: non-positive bandwidth");
+  }
+  auto mb = std::make_unique<Mailbox>();
+  mb->config = config;
+  mailboxes_.push_back(std::move(mb));
+  return static_cast<NodeId>(mailboxes_.size() - 1);
 }
 
 void ThreadRuntime::attach(NodeId id, Actor* actor) {
-  links_.attach(id, actor);
-  if (cfg_.clock == ClockMode::kWall) {
-    std::lock_guard<std::mutex> lk(mailboxes_.at(id)->m);
-    mailboxes_[id]->actor = actor;
-  }
+  Mailbox& mb = *mailboxes_.at(id);
+  std::lock_guard<std::mutex> lk(mb.m);
+  mb.actor = actor;
 }
 
-std::size_t ThreadRuntime::node_count() const { return links_.node_count(); }
+std::size_t ThreadRuntime::node_count() const { return mailboxes_.size(); }
 
 std::uint32_t ThreadRuntime::region_of(NodeId id) const {
-  return links_.region_of(id);
+  return mailboxes_.at(id)->config.region;
 }
 
 SimTime ThreadRuntime::now() const {
-  if (cfg_.clock == ClockMode::kLogical) return logical_now_;
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
-}
-
-TimerHandle ThreadRuntime::push_logical(SimTime at, std::function<void()> fn) {
-  auto alive = std::make_shared<std::atomic<bool>>(true);
-  logical_q_.push(SimEvent{at, logical_seq_++, std::move(fn), alive});
-  return TimerHandle{std::move(alive)};
 }
 
 TimerHandle ThreadRuntime::schedule(NodeId owner, SimTime delay,
                                     std::function<void()> fn) {
   if (delay < 0) {
     throw std::invalid_argument("ThreadRuntime::schedule: negative delay");
-  }
-  if (cfg_.clock == ClockMode::kLogical) {
-    return push_logical(logical_now_ + delay, std::move(fn));
   }
   auto alive = std::make_shared<std::atomic<bool>>(true);
   {
@@ -101,19 +88,6 @@ TimerHandle ThreadRuntime::schedule(NodeId owner, SimTime delay,
 }
 
 void ThreadRuntime::send(NodeId from, NodeId to, MsgPtr msg) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    // Same fluid model, same event ordering as sim::Network::send.
-    const auto plan = links_.plan_send(from, to, *msg, logical_now_);
-    if (!plan.deliver) return;
-    push_logical(plan.at,
-                 [this, from, to, msg = std::move(msg), size = plan.size]() {
-                   Actor* actor = links_.complete_delivery(from, to, size,
-                                                           logical_now_, *msg);
-                   if (actor != nullptr) actor->on_message(from, msg);
-                 });
-    return;
-  }
-
   if (from >= mailboxes_.size() || to >= mailboxes_.size()) {
     throw std::out_of_range("ThreadRuntime::send: unknown node");
   }
@@ -174,34 +148,23 @@ void ThreadRuntime::start() {
   // and the run begins atomically when the gate opens below (the
   // release of ready_m_ is what publishes all on_start writes to the
   // workers).
-  for (NodeId id = 0; id < links_.node_count(); ++id) {
-    Actor* actor = links_.actor(id);
-    if (actor != nullptr && !is_down(id)) actor->on_start();
-  }
-  if (cfg_.clock == ClockMode::kWall) {
+  for (auto& mb : mailboxes_) {
+    Actor* actor = nullptr;
     {
-      std::lock_guard<std::mutex> lk(ready_m_);
-      running_ = true;
+      std::lock_guard<std::mutex> lk(mb->m);
+      if (!mb->down) actor = mb->actor;
     }
-    ready_cv_.notify_all();
-    timer_cv_.notify_all();
+    if (actor != nullptr) actor->on_start();
   }
+  {
+    std::lock_guard<std::mutex> lk(ready_m_);
+    running_ = true;
+  }
+  ready_cv_.notify_all();
+  timer_cv_.notify_all();
 }
 
 void ThreadRuntime::run_until(SimTime limit) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    while (!logical_q_.empty() && logical_q_.top().time <= limit) {
-      SimEvent ev = logical_q_.top();
-      logical_q_.pop();
-      logical_now_ = ev.time;
-      if (ev.alive->exchange(false, std::memory_order_relaxed)) {
-        ev.fn();
-      }
-    }
-    if (logical_now_ < limit) logical_now_ = limit;
-    return;
-  }
-
   draining_.store(false, std::memory_order_relaxed);
   std::this_thread::sleep_until(epoch_ + to_chrono(limit));
   // Deadline passed: stop firing timers (heartbeats would otherwise
@@ -317,11 +280,6 @@ bool ThreadRuntime::stopping_read() {
 }
 
 void ThreadRuntime::set_node_down(NodeId id, bool down) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    Actor* restarted = links_.set_node_down(id, down);
-    if (restarted != nullptr) restarted->on_restart();
-    return;
-  }
   Mailbox& mb = *mailboxes_.at(id);
   bool restarting = false;
   Actor* actor = nullptr;
@@ -355,11 +313,6 @@ void ThreadRuntime::set_node_down(NodeId id, bool down) {
 }
 
 void ThreadRuntime::notify_reconnect(NodeId id) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    Actor* actor = links_.reconnect_target(id);
-    if (actor != nullptr) actor->on_restart();
-    return;
-  }
   Mailbox& mb = *mailboxes_.at(id);
   Actor* actor = nullptr;
   {
@@ -375,51 +328,33 @@ void ThreadRuntime::notify_reconnect(NodeId id) {
 }
 
 bool ThreadRuntime::is_down(NodeId id) const {
-  if (cfg_.clock == ClockMode::kLogical) return links_.is_down(id);
   Mailbox& mb = *mailboxes_.at(id);
   std::lock_guard<std::mutex> lk(mb.m);
   return mb.down;
 }
 
 void ThreadRuntime::set_drop_filter(DropFilter filter) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    links_.set_drop_filter(std::move(filter));
-    return;
-  }
   std::lock_guard<std::mutex> lk(hooks_m_);
   drop_filter_ = std::move(filter);
 }
 
-void ThreadRuntime::set_extra_delay(DelayFn fn) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    links_.set_extra_delay(std::move(fn));
-  }
-  // Wall mode has no modeled propagation delay to add to.
-}
+// No modeled propagation delay to add to.
+void ThreadRuntime::set_extra_delay(DelayFn) {}
 
-void ThreadRuntime::set_tracer(TraceHasher* tracer) {
-  if (cfg_.clock == ClockMode::kLogical) {
-    links_.set_tracer(tracer);
-  }
-  // Wall mode has no deterministic delivery order to fold.
-}
+// No deterministic delivery order to fold.
+void ThreadRuntime::set_tracer(TraceHasher*) {}
 
 TrafficStats ThreadRuntime::stats(NodeId id) const {
-  if (cfg_.clock == ClockMode::kLogical) return links_.stats(id);
   Mailbox& mb = *mailboxes_.at(id);
   std::lock_guard<std::mutex> lk(mb.m);
   return mb.stats;
 }
 
-SimTime ThreadRuntime::uplink_backlog(NodeId id) const {
-  if (cfg_.clock == ClockMode::kLogical) {
-    return links_.uplink_backlog(id, logical_now_);
-  }
+SimTime ThreadRuntime::uplink_backlog(NodeId) const {
   return 0;  // No bandwidth model: real queues are the backpressure.
 }
 
 std::uint64_t ThreadRuntime::total_bytes_sent() const {
-  if (cfg_.clock == ClockMode::kLogical) return links_.total_bytes_sent();
   std::uint64_t total = 0;
   for (const auto& mb : mailboxes_) {
     std::lock_guard<std::mutex> lk(mb->m);

@@ -1,8 +1,8 @@
 // ThreadRuntime: the Runtime backend that runs actors on real cores.
 //
 // predis-lint: allow-file(D2): the wall-clock backend is the one place
-// real time legitimately enters the tree — now() in kWall mode *is*
-// steady_clock, and the timer wheel sleeps against real deadlines.
+// real time legitimately enters the tree — now() *is* steady_clock, and
+// the timer wheel sleeps against real deadlines.
 // Protocol code still sees only Runtime::now()/schedule().
 //
 // Architecture (modeled on the alarm/io-service + acceptor/receiver
@@ -17,17 +17,11 @@
 //     domain as its messages), ownerless harness timers run on the
 //     wheel thread.
 //
-// Two clock modes:
-//
-//   * kWall — now() is wall-clock nanoseconds since construction.
-//     Messages deliver as fast as cores allow (no bandwidth/latency
-//     model, uplink_backlog() == 0, tracers ignored); this is the mode
-//     that produces hardware-limited throughput numbers.
-//   * kLogical — a deterministic discrete-event loop over the same
-//     mailbox-dispatch code, driven by the shared LinkModel, executed
-//     by a single worker. Produces byte-identical delivery traces,
-//     commit ledgers and metrics to SimRuntime (enforced by
-//     tests/runtime; see docs/runtime.md, "sim as oracle").
+// The clock is wall-clock nanoseconds since construction. Messages
+// deliver as fast as cores allow — no bandwidth/latency model,
+// uplink_backlog() == 0, tracers ignored — so this backend produces
+// hardware-limited throughput numbers. The deterministic model lives
+// in SimRuntime alone (see docs/runtime.md).
 #pragma once
 
 #include <atomic>
@@ -44,26 +38,25 @@
 
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
-#include "runtime/link_model.hpp"
 #include "runtime/runtime.hpp"
 
 namespace predis::runtime {
 
+/// Only wall time remains; the enum and ThreadRuntimeConfig::clock are
+/// kept so existing configurations still compile.
 enum class ClockMode {
-  kLogical,  ///< Deterministic virtual time, single-threaded execution.
-  kWall,     ///< Real time, worker pool + timer wheel.
+  kWall,  ///< Real time, worker pool + timer wheel.
 };
 
 struct ThreadRuntimeConfig {
   ClockMode clock = ClockMode::kWall;
-  /// Worker threads draining mailboxes (wall mode; logical mode always
-  /// executes on the single driving thread).
+  /// Worker threads draining mailboxes.
   std::size_t workers = 4;
-  /// Region latency matrix. Logical mode models it exactly like the
-  /// simulator; wall mode ignores it (real queues are the delay).
+  /// Region latency matrix. Only its region count is used: add_node()
+  /// rejects regions outside it. Real queues are the delay.
   LatencyMatrix latency = LatencyMatrix::uniform(1, 0);
-  /// Wall mode: how long run_until() waits for in-flight work to
-  /// quiesce after the deadline before returning anyway.
+  /// How long run_until() waits for in-flight work to quiesce after
+  /// the deadline before returning anyway.
   SimTime drain_grace = milliseconds(2000);
 };
 
@@ -103,12 +96,9 @@ class ThreadRuntime final : public Runtime {
   SimTime uplink_backlog(NodeId id) const override;
   std::uint64_t total_bytes_sent() const override;
 
-  ClockMode clock_mode() const { return cfg_.clock; }
   std::size_t worker_count() const { return workers_.size(); }
 
  private:
-  // --- Wall mode ------------------------------------------------------
-
   /// One mailbox entry: either a delivered message or a timer task
   /// routed to its owner node.
   struct Item {
@@ -154,36 +144,8 @@ class ThreadRuntime final : public Runtime {
   void enqueue_item(NodeId to, Item item);
   bool quiescent();
 
-  // --- Logical mode ---------------------------------------------------
-
-  struct SimEvent {
-    SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<std::atomic<bool>> alive;
-  };
-  struct SimLater {
-    bool operator()(const SimEvent& a, const SimEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  TimerHandle push_logical(SimTime at, std::function<void()> fn);
-
   ThreadRuntimeConfig cfg_;
 
-  // Shared node table + fluid model. Wall mode uses it only for node
-  // registration/config snapshots at add_node time; all mutable state
-  // it would race on lives in the mailboxes instead.
-  LinkModel links_;
-
-  // Logical mode state (driving thread only).
-  SimTime logical_now_ = 0;
-  std::uint64_t logical_seq_ = 0;
-  std::priority_queue<SimEvent, std::vector<SimEvent>, SimLater> logical_q_;
-
-  // Wall mode state.
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   mutable std::mutex ready_m_;

@@ -2,9 +2,9 @@
 // sequence. Two runs with the same seed must produce byte-identical
 // event sequences on a deterministic backend, so equal digests are the
 // checkable witness of deterministic replay (and unequal digests
-// pinpoint divergence). The threaded backend in wall-clock mode has no
+// pinpoint divergence). The wall-clock ThreadRuntime has no
 // deterministic delivery order, so tracers are only meaningful on
-// SimRuntime and ThreadRuntime's logical-clock mode.
+// SimRuntime.
 #pragma once
 
 #include "common/bytes.hpp"

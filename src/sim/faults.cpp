@@ -251,9 +251,10 @@ void FaultScheduler::build_plan() {
 }
 
 void FaultScheduler::arm() {
-  net_.set_drop_filter([this](NodeId from, NodeId to, const Message& msg) {
-    return should_drop(from, to, msg);
-  });
+  net_.set_drop_filter(
+      [this](NodeId from, NodeId to, const runtime::Message& msg) {
+        return should_drop(from, to, msg);
+      });
   net_.set_extra_delay(
       [this](NodeId from, NodeId to) { return extra_delay(from, to); });
   for (std::size_t i = 0; i < plan_.size(); ++i) {
@@ -348,7 +349,7 @@ void FaultScheduler::apply(const FaultEvent& ev) {
 }
 
 bool FaultScheduler::should_drop(NodeId from, NodeId to,
-                                 const Message& msg) {
+                                 const runtime::Message& msg) {
   if (!is_target(from) || !is_target(to)) return false;
   const SimTime now = net_.now();
   for (const ActiveWithhold& w : withholds_) {

@@ -21,7 +21,6 @@
 
 #include "common/rng.hpp"
 #include "runtime/runtime.hpp"
-#include "sim/message.hpp"
 
 namespace predis::sim {
 
@@ -160,7 +159,7 @@ class FaultScheduler {
  private:
   void build_plan();
   void apply(const FaultEvent& event);
-  bool should_drop(NodeId from, NodeId to, const Message& msg);
+  bool should_drop(NodeId from, NodeId to, const runtime::Message& msg);
   SimTime extra_delay(NodeId from, NodeId to);
   bool is_target(NodeId id) const;
 

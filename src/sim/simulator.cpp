@@ -4,16 +4,17 @@
 
 namespace predis::sim {
 
-TimerHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
+runtime::TimerHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
   auto alive = std::make_shared<std::atomic<bool>>(true);
   queue_.push(Event{t, next_seq_++, std::move(fn), alive});
-  return TimerHandle{std::move(alive)};
+  return runtime::TimerHandle{std::move(alive)};
 }
 
-TimerHandle Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
+runtime::TimerHandle Simulator::schedule_after(SimTime delay,
+                                               std::function<void()> fn) {
   if (delay < 0) {
     throw std::invalid_argument("Simulator::schedule_after: negative delay");
   }

@@ -17,10 +17,6 @@
 
 namespace predis::sim {
 
-/// Timer handles are shared across backends (runtime/timer.hpp); the
-/// simulator hands out the same cancellable handle ThreadRuntime does.
-using TimerHandle = runtime::TimerHandle;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -30,10 +26,10 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedule `fn` to run at absolute simulated time `t` (>= now).
-  TimerHandle schedule_at(SimTime t, std::function<void()> fn);
+  runtime::TimerHandle schedule_at(SimTime t, std::function<void()> fn);
 
   /// Schedule `fn` after a relative delay (>= 0).
-  TimerHandle schedule_after(SimTime delay, std::function<void()> fn);
+  runtime::TimerHandle schedule_after(SimTime delay, std::function<void()> fn);
 
   /// Run until the queue drains or `limit` is reached, whichever first.
   /// Returns the number of events executed.

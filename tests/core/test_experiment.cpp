@@ -28,6 +28,7 @@ TEST_P(AllProtocols, CommitsOfferedLoadWhenUnderCapacity) {
   // At 1.5 k tx/s every protocol keeps up (within 15% after warmup).
   EXPECT_GT(r.throughput_tps, 1275.0) << to_string(GetParam());
   EXPECT_GT(r.avg_latency_ms, 0.0);
+  EXPECT_GT(r.latency_samples, 0u);
   EXPECT_GT(r.commit_events, 10u);
 }
 
@@ -54,6 +55,22 @@ TEST(Experiment, PredisOutperformsBaselinesUnderHighLoad) {
   EXPECT_GT(ppbft.throughput_tps, 1.5 * pbft.throughput_tps);
   EXPECT_TRUE(pbft.consistent);
   EXPECT_TRUE(ppbft.consistent);
+}
+
+// The predis-sim 40 k tx/s overload run: about 4x capacity, so only a
+// few blocks commit. Its uplink figure must stay within the 100 Mbps
+// links (bytes enqueued during the drain count against the time the
+// uplink needs to send them), and the empty latency set must be
+// reported as empty, not as 0 ms.
+TEST(Experiment, OverloadReportsHonestUplinkAndNoLatencySamples) {
+  ClusterConfig cfg = base_config(Protocol::kPredisPbft, 40'000);
+  cfg.n_clients = 8;
+  cfg.warmup = cfg.duration / 3;
+  const ClusterResult r = run_cluster(cfg);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_GT(r.consensus_uplink_mbps, 50.0);
+  EXPECT_LE(r.consensus_uplink_mbps, 100.0);
+  EXPECT_EQ(r.latency_samples, 0u);
 }
 
 TEST(Experiment, WanEnvironmentRuns) {

@@ -22,6 +22,13 @@ TEST(DistributionCluster, MultiZoneCommitsAndDistributes) {
   EXPECT_TRUE(r.consistent);
   EXPECT_GT(r.throughput_tps, 2500.0);
   EXPECT_GT(r.full_node_coverage, 0.9);
+  // Latency and committed transactions come from the client metrics:
+  // transactions, not a block height.
+  EXPECT_GT(r.latency_samples, 0u);
+  EXPECT_GE(r.p99_latency_ms, r.p50_latency_ms);
+  EXPECT_GT(r.p50_latency_ms, 0.0);
+  EXPECT_GE(static_cast<double>(r.committed_txs),
+            r.throughput_tps * to_seconds(cfg.duration - cfg.warmup));
   // Every zone converged to n_c relayers.
   EXPECT_EQ(r.relayers_seen, cfg.n_zones * cfg.n_consensus);
 }

@@ -1,13 +1,13 @@
-// ThreadRuntime behaviour: wall-clock mode runs actors on a real
-// worker pool (these tests are the TSAN surface for the backend — CI
-// runs them under -fsanitize=thread), logical mode is exercised by
-// test_backend_equivalence against the sim oracle.
+// ThreadRuntime behaviour: actors run on a real worker pool under
+// wall-clock time. These tests are the TSAN surface for the backend —
+// CI runs them under -fsanitize=thread.
 #include "runtime/thread_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "runtime/runtime.hpp"
@@ -52,7 +52,6 @@ struct Ponger final : Actor {
 
 TEST(ThreadRuntimeWall, PingPongStormAcrossWorkersStaysConserved) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 4;
   ThreadRuntime net(cfg);
 
@@ -85,7 +84,6 @@ TEST(ThreadRuntimeWall, PingPongStormAcrossWorkersStaysConserved) {
 
 TEST(ThreadRuntimeWall, TimersFireOnOwnersAndCancelCleanly) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -110,7 +108,6 @@ TEST(ThreadRuntimeWall, TimersFireOnOwnersAndCancelCleanly) {
 
 TEST(ThreadRuntimeWall, DownNodesDropTrafficAndRestartOnRecovery) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -151,7 +148,6 @@ TEST(ThreadRuntimeWall, OutageKeepsQueuedTimerTasksAndDropsQueuedMessages) {
   // lost its tick chain forever — fetch/packing timers never re-armed
   // after recovery. Only queued *messages* may be purged.
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -204,7 +200,6 @@ TEST(ThreadRuntimeWall, OutageKeepsQueuedTimerTasksAndDropsQueuedMessages) {
 
 TEST(ThreadRuntimeWall, DropFilterAppliesUnderConcurrency) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -230,6 +225,29 @@ TEST(ThreadRuntimeWall, DropFilterAppliesUnderConcurrency) {
   net.send(a, b, std::make_shared<PingMsg>());
   net.run_until(milliseconds(80));
   EXPECT_EQ(counter.messages.load(), 1);
+}
+
+TEST(ThreadRuntimeWall, RejectsInvalidNodesAndNegativeDelays) {
+  ThreadRuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.latency = LatencyMatrix::uniform(2, 0);
+  ThreadRuntime net(cfg);
+
+  NodeConfig bad;
+  bad.region = 2;  // outside the 2-region latency matrix
+  EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+  bad.region = 1;
+  bad.up_bw = 0;
+  EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+  bad.up_bw = 1e6;
+  bad.down_bw = -1;
+  EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+  EXPECT_EQ(net.node_count(), 0u);
+
+  bad.down_bw = 1e6;
+  const NodeId id = net.add_node(bad);
+  EXPECT_EQ(net.region_of(id), 1u);
+  EXPECT_THROW(net.schedule(id, -1, [] {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Sanity checks for the canned WAN/LAN environments of §V.
-#include "sim/environments.hpp"
+#include "runtime/environments.hpp"
 
 #include <gtest/gtest.h>
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 TEST(Environments, WanMatrixShapeAndSymmetry) {
@@ -49,4 +49,4 @@ TEST(Environments, WanLatenciesMatchPaperScale) {
 }
 
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

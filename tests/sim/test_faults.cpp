@@ -6,19 +6,20 @@
 #include <algorithm>
 #include <set>
 
-#include "sim/environments.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace predis::sim {
 namespace {
 
 struct Fixture {
-  Simulator sim;
-  Network net{sim, LatencyMatrix::uniform(1, milliseconds(10))};
+  runtime::SimRuntime net{
+      runtime::LatencyMatrix::uniform(1, milliseconds(10))};
+  Simulator& sim = net.simulator();
   std::vector<NodeId> targets;
 
   explicit Fixture(std::size_t n = 4) {
     for (std::size_t i = 0; i < n; ++i) {
-      targets.push_back(net.add_node(NodeConfig{}));
+      targets.push_back(net.add_node(runtime::NodeConfig{}));
     }
   }
 };
@@ -195,19 +196,19 @@ TEST(FaultScheduler, GarbageHookFiresOnPinnedNodeOnly) {
 }
 
 // Named test messages for the data-plane withholding filter.
-struct BundleLikeMsg final : Message {
+struct BundleLikeMsg final : runtime::Message {
   std::size_t wire_size() const override { return 64; }
   const char* name() const override { return "Bundle"; }
 };
-struct VoteLikeMsg final : Message {
+struct VoteLikeMsg final : runtime::Message {
   std::size_t wire_size() const override { return 64; }
   const char* name() const override { return "Prepare"; }
 };
 
-struct CountingActor final : Actor {
+struct CountingActor final : runtime::Actor {
   std::size_t bundles = 0;
   std::size_t votes = 0;
-  void on_message(NodeId, const MsgPtr& msg) override {
+  void on_message(NodeId, const runtime::MsgPtr& msg) override {
     if (std::string(msg->name()) == "Bundle") ++bundles;
     if (std::string(msg->name()) == "Prepare") ++votes;
   }
@@ -246,10 +247,10 @@ TEST(FaultScheduler, WithholderSwallowsDataPlaneButNotVotes) {
   EXPECT_EQ(withholders[0], f.targets[0]);
 }
 
-struct StampActor final : Actor {
+struct StampActor final : runtime::Actor {
   Simulator* sim = nullptr;
   std::vector<SimTime> arrivals;
-  void on_message(NodeId, const MsgPtr&) override {
+  void on_message(NodeId, const runtime::MsgPtr&) override {
     arrivals.push_back(sim->now());
   }
 };
@@ -337,10 +338,10 @@ TEST(FaultScheduler, PartitionPlanCutsDeterministicMinority) {
   }
 }
 
-struct ReconnectActor final : Actor {
+struct ReconnectActor final : runtime::Actor {
   std::size_t messages = 0;
   std::size_t restarts = 0;
-  void on_message(NodeId, const MsgPtr&) override { ++messages; }
+  void on_message(NodeId, const runtime::MsgPtr&) override { ++messages; }
   void on_restart() override { ++restarts; }
 };
 

@@ -1,10 +1,12 @@
-#include "sim/network.hpp"
+// The deterministic backend's fluid network model, driven through
+// SimRuntime.
+#include "runtime/sim_runtime.hpp"
 
 #include <gtest/gtest.h>
 
-#include "sim/environments.hpp"
+#include "runtime/environments.hpp"
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 /// Message with an exact wire size (excluding transport overhead).
@@ -18,14 +20,14 @@ struct TestMsg final : Message {
 /// Records every delivery with its timestamp.
 class Recorder final : public Actor {
  public:
-  explicit Recorder(Simulator& sim) : sim_(sim) {}
+  explicit Recorder(const Runtime& net) : net_(net) {}
   void on_message(NodeId from, const MsgPtr&) override {
-    deliveries.emplace_back(from, sim_.now());
+    deliveries.emplace_back(from, net_.now());
   }
   std::vector<std::pair<NodeId, SimTime>> deliveries;
 
  private:
-  Simulator& sim_;
+  const Runtime& net_;
 };
 
 // 1 MB/s links so a 1000-byte message (936 + 64 overhead) takes 1 ms.
@@ -36,22 +38,22 @@ NodeConfig slow_node() {
   return cfg;
 }
 
-constexpr std::size_t kBody = 1000 - Network::kTransportOverhead;
+constexpr std::size_t kBody = 1000 - Runtime::kTransportOverhead;
 
 struct NetFixture {
-  Simulator sim;
-  Network net{sim, LatencyMatrix::uniform(1, milliseconds(100))};
+  SimRuntime net{LatencyMatrix::uniform(1, milliseconds(100))};
+  void run() { net.simulator().run(); }
 };
 
 TEST(Network, SingleTransferTiming) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   // Idle symmetric links: serialization (1 ms) + propagation (100 ms).
   ASSERT_EQ(rec.deliveries.size(), 1u);
   EXPECT_EQ(rec.deliveries[0].second, milliseconds(101));
@@ -61,12 +63,12 @@ TEST(Network, UplinkSerializesConsecutiveSends) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   ASSERT_EQ(rec.deliveries.size(), 2u);
   EXPECT_EQ(rec.deliveries[0].second, milliseconds(101));
   EXPECT_EQ(rec.deliveries[1].second, milliseconds(102));
@@ -77,12 +79,12 @@ TEST(Network, DownlinkContentionQueuesInboundFlows) {
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
   const NodeId c = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(c, &rec);
 
   f.net.send(a, c, std::make_shared<TestMsg>(kBody));
   f.net.send(b, c, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   ASSERT_EQ(rec.deliveries.size(), 2u);
   EXPECT_EQ(rec.deliveries[0].second, milliseconds(101));
   // The second flow queues behind the first on c's downlink.
@@ -94,12 +96,12 @@ TEST(Network, MulticastCostsOneTransmissionPerReceiver) {
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
   const NodeId c = f.net.add_node(slow_node());
-  Recorder rb(f.sim), rc(f.sim);
+  Recorder rb(f.net), rc(f.net);
   f.net.attach(b, &rb);
   f.net.attach(c, &rc);
 
   f.net.multicast(a, {a, b, c}, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   ASSERT_EQ(rb.deliveries.size(), 1u);
   ASSERT_EQ(rc.deliveries.size(), 1u);
   // Self is skipped; two copies serialize on a's uplink.
@@ -113,19 +115,19 @@ TEST(Network, DownNodeSendsAndReceivesNothing) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   f.net.set_node_down(b, true);
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_TRUE(rec.deliveries.empty());
   EXPECT_EQ(f.net.stats(a).messages_dropped, 1u);
 
   f.net.set_node_down(a, true);
   f.net.set_node_down(b, false);
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_TRUE(rec.deliveries.empty());
 }
 
@@ -133,7 +135,7 @@ TEST(Network, DropFilterDropsSelectedMessages) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   int drops = 0;
@@ -142,7 +144,7 @@ TEST(Network, DropFilterDropsSelectedMessages) {
   });
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   ASSERT_EQ(rec.deliveries.size(), 1u);
 }
 
@@ -150,27 +152,26 @@ TEST(Network, ExtraDelayApplies) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   f.net.set_extra_delay([](NodeId, NodeId) { return milliseconds(50); });
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   ASSERT_EQ(rec.deliveries.size(), 1u);
   EXPECT_EQ(rec.deliveries[0].second, milliseconds(151));
 }
 
 TEST(Network, RegionLatencyMatrixRespected) {
-  Simulator sim;
-  Network net(sim, wan_latency());
+  SimRuntime net(wan_latency());
   NodeConfig fast = node_100mbps(0);
   const NodeId a = net.add_node(fast);              // Ulanqab
   const NodeId b = net.add_node(node_100mbps(1));   // Shanghai
-  Recorder rec(sim);
+  Recorder rec(net);
   net.attach(b, &rec);
 
   net.send(a, b, std::make_shared<TestMsg>(0));
-  sim.run();
+  net.simulator().run();
   ASSERT_EQ(rec.deliveries.size(), 1u);
   // 64-byte overhead at 12.5 MB/s is ~5.1 us; latency dominates.
   EXPECT_GT(rec.deliveries[0].second, milliseconds(15));
@@ -181,11 +182,11 @@ TEST(Network, StatsTrackBothDirections) {
   NetFixture f;
   const NodeId a = f.net.add_node(slow_node());
   const NodeId b = f.net.add_node(slow_node());
-  Recorder rec(f.sim);
+  Recorder rec(f.net);
   f.net.attach(b, &rec);
 
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(f.net.stats(a).bytes_sent, 1000u);
   EXPECT_EQ(f.net.stats(b).bytes_received, 1000u);
   EXPECT_EQ(f.net.stats(b).messages_received, 1u);
@@ -193,8 +194,7 @@ TEST(Network, StatsTrackBothDirections) {
 }
 
 TEST(Network, InvalidConfigRejected) {
-  Simulator sim;
-  Network net(sim, LatencyMatrix::uniform(1, 0));
+  SimRuntime net(LatencyMatrix::uniform(1, 0));
   NodeConfig bad;
   bad.region = 5;
   EXPECT_THROW(net.add_node(bad), std::invalid_argument);
@@ -204,4 +204,4 @@ TEST(Network, InvalidConfigRejected) {
 }
 
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

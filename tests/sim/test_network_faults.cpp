@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "consensus/predis/predis_engine.hpp"
-#include "sim/network.hpp"
+#include "runtime/sim_runtime.hpp"
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 struct TestMsg final : Message {
@@ -28,11 +28,11 @@ NodeConfig slow_node() {
   return cfg;
 }
 
-constexpr std::size_t kBody = 1000 - Network::kTransportOverhead;
+constexpr std::size_t kBody = 1000 - Runtime::kTransportOverhead;
 
 struct NetFixture {
-  Simulator sim;
-  Network net{sim, LatencyMatrix::uniform(1, milliseconds(10))};
+  SimRuntime net{LatencyMatrix::uniform(1, milliseconds(10))};
+  void run() { net.simulator().run(); }
 };
 
 TEST(NetworkFaults, DropFilterCountsDroppedMessages) {
@@ -47,7 +47,7 @@ TEST(NetworkFaults, DropFilterCountsDroppedMessages) {
   for (int i = 0; i < 5; ++i) {
     f.net.send(a, b, std::make_shared<TestMsg>(kBody));
   }
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rec.received, 0u);
   EXPECT_EQ(f.net.stats(a).messages_dropped, 5u);
   // Dropped messages never made it onto the wire.
@@ -68,7 +68,7 @@ TEST(NetworkFaults, SelectiveDropFilterOnlyCountsMatches) {
 
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
   f.net.send(a, c, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rb.received, 0u);
   EXPECT_EQ(rc.received, 1u);
   EXPECT_EQ(f.net.stats(a).messages_dropped, 1u);
@@ -84,14 +84,14 @@ TEST(NetworkFaults, DownDestinationCountsDropAtSender) {
 
   f.net.set_node_down(b, true);
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rec.received, 0u);
   EXPECT_EQ(f.net.stats(a).messages_dropped, 1u);
 
   // Back up: traffic flows and the drop counter stays put.
   f.net.set_node_down(b, false);
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rec.received, 1u);
   EXPECT_EQ(f.net.stats(a).messages_dropped, 1u);
 }
@@ -105,7 +105,7 @@ TEST(NetworkFaults, DownSourceCountsOwnSendsAsDropped) {
 
   f.net.set_node_down(a, true);
   f.net.send(a, b, std::make_shared<TestMsg>(kBody));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rec.received, 0u);
   EXPECT_EQ(f.net.stats(a).messages_dropped, 1u);
   EXPECT_EQ(f.net.stats(a).messages_sent, 0u);
@@ -124,7 +124,7 @@ TEST(NetworkFaults, UplinkBacklogGrowsWithQueuedSendsAndDrains) {
     f.net.send(a, b, std::make_shared<TestMsg>(kBody));
   }
   EXPECT_EQ(f.net.uplink_backlog(a), milliseconds(5));
-  f.sim.run();
+  f.run();
   EXPECT_EQ(rec.received, 5u);
   EXPECT_EQ(f.net.uplink_backlog(a), 0);
 }
@@ -176,11 +176,11 @@ TEST(NetworkFaults, EngineBackpressureShedsClientLoad) {
   EXPECT_EQ(produced, 1u);
 
   // Once the backlog drains, load is accepted again.
-  f.sim.run();
+  f.run();
   EXPECT_EQ(f.net.uplink_backlog(ids[0]), 0);
   engine.enqueue(batch());
   EXPECT_EQ(produced, 2u);
 }
 
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "sim/network.hpp"
+#include "runtime/sim_runtime.hpp"
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 struct SizedMsg final : Message {
@@ -16,23 +16,22 @@ struct SizedMsg final : Message {
 
 class Counter final : public Actor {
  public:
-  explicit Counter(Simulator& sim) : sim_(sim) {}
+  explicit Counter(const Runtime& net) : net_(net) {}
   void on_message(NodeId, const MsgPtr&) override {
     ++received;
-    last_at = sim_.now();
+    last_at = net_.now();
   }
   std::size_t received = 0;
   SimTime last_at = 0;
 
  private:
-  Simulator& sim_;
+  const Runtime& net_;
 };
 
 class NetworkProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NetworkProperty, BytesAreConserved) {
-  Simulator sim;
-  Network net(sim, LatencyMatrix::uniform(1, milliseconds(3)));
+  SimRuntime net(LatencyMatrix::uniform(1, milliseconds(3)));
   Rng rng(GetParam());
 
   const std::size_t n = 5;
@@ -40,7 +39,7 @@ TEST_P(NetworkProperty, BytesAreConserved) {
   std::vector<std::unique_ptr<Counter>> actors;
   for (std::size_t i = 0; i < n; ++i) {
     ids.push_back(net.add_node(NodeConfig{}));
-    actors.push_back(std::make_unique<Counter>(sim));
+    actors.push_back(std::make_unique<Counter>(net));
     net.attach(ids[i], actors.back().get());
   }
 
@@ -52,7 +51,7 @@ TEST_P(NetworkProperty, BytesAreConserved) {
     net.send(from, to, std::make_shared<SizedMsg>(rng.next_below(5000)));
     ++sent;
   }
-  sim.run();
+  net.simulator().run();
 
   std::uint64_t bytes_out = 0, bytes_in = 0;
   std::size_t msgs_in = 0;
@@ -72,8 +71,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetworkProperty,
 TEST(NetworkProperty, PerPairDeliveryIsFifo) {
   // Messages between one (sender, receiver) pair arrive in send order
   // even with mixed sizes (cut-through still serializes the uplink).
-  Simulator sim;
-  Network net(sim, LatencyMatrix::uniform(1, milliseconds(5)));
+  SimRuntime net(LatencyMatrix::uniform(1, milliseconds(5)));
   const NodeId a = net.add_node(NodeConfig{});
   const NodeId b = net.add_node(NodeConfig{});
 
@@ -99,19 +97,18 @@ TEST(NetworkProperty, PerPairDeliveryIsFifo) {
   for (int i = 0; i < 50; ++i) {
     net.send(a, b, std::make_shared<SeqMsg>(i, 100 + rng.next_below(90000)));
   }
-  sim.run();
+  net.simulator().run();
   ASSERT_EQ(check.order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(check.order[i], i);
 }
 
 TEST(NetworkProperty, BacklogReflectsQueuedBytes) {
-  Simulator sim;
-  Network net(sim, LatencyMatrix::uniform(1, 0));
+  SimRuntime net(LatencyMatrix::uniform(1, 0));
   NodeConfig slow;
   slow.up_bw = 1e6;  // 1 MB/s
   const NodeId a = net.add_node(slow);
   const NodeId b = net.add_node(NodeConfig{});
-  Counter counter(sim);
+  Counter counter(net);
   net.attach(b, &counter);
 
   EXPECT_EQ(net.uplink_backlog(a), 0);
@@ -120,9 +117,28 @@ TEST(NetworkProperty, BacklogReflectsQueuedBytes) {
   const SimTime backlog = net.uplink_backlog(a);
   EXPECT_GT(backlog, milliseconds(1900));
   EXPECT_LT(backlog, milliseconds(2100));
-  sim.run();
+  net.simulator().run();
   EXPECT_EQ(net.uplink_backlog(a), 0);
 }
 
+TEST(NetworkProperty, UplinkFigureNeverExceedsCapacity) {
+  // ~2 MB on a 1 MB/s (8 Mbps) uplink, read 1 s in: dividing by the
+  // elapsed time alone would report 16 Mbps.
+  SimRuntime net(LatencyMatrix::uniform(1, 0));
+  NodeConfig slow;
+  slow.up_bw = 1e6;
+  const NodeId a = net.add_node(slow);
+  const NodeId b = net.add_node(NodeConfig{});
+  Counter counter(net);
+  net.attach(b, &counter);
+
+  net.send(a, b, std::make_shared<SizedMsg>(2'000'000));
+  net.run_until(seconds(1));
+  EXPECT_NEAR(mean_uplink_mbps(net, {a}), 8.0, 1e-6);
+  net.simulator().run();
+  EXPECT_NEAR(mean_uplink_mbps(net, {a}), 8.0, 1e-6);
+  EXPECT_NEAR(mean_uplink_mbps(net, {a, b}), 4.0, 1e-6);  // b sent nothing
+}
+
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -51,7 +51,8 @@ TEST(Simulator, RunUntilStopsAtLimit) {
 TEST(Simulator, CancelledTimerDoesNotFire) {
   Simulator sim;
   bool fired = false;
-  TimerHandle h = sim.schedule_after(milliseconds(5), [&] { fired = true; });
+  runtime::TimerHandle h =
+      sim.schedule_after(milliseconds(5), [&] { fired = true; });
   EXPECT_TRUE(h.scheduled());
   h.cancel();
   EXPECT_FALSE(h.scheduled());

@@ -153,7 +153,7 @@ std::vector<Diagnostic> check_lock_order(std::vector<LockEdge> edges) {
 
 const std::vector<std::string>& known_rules() {
   static const std::vector<std::string> kRules = {
-      "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "S1"};
+      "D1", "D2", "D3", "D4", "D5", "D7", "D8", "D9", "S1"};
   return kRules;
 }
 
@@ -257,7 +257,6 @@ Report lint_tree(const std::vector<std::string>& files,
     run_d3_call_sites(ctx);
     run_d4(ctx);
     run_d5(ctx);
-    run_d6(ctx);
     run_d7(ctx);
     run_d8(ctx);
     run_d9(ctx);
@@ -389,9 +388,6 @@ const char* rule_catalogue() {
       "D4  on_* message handlers bounds/ban-check the sender and\n"
       "    message-carried indices before subscripting per-node vectors\n"
       "D5  reinterpret_cast/const_cast only in gf256*, sha256*, bytes*\n"
-      "D6  the concrete backend types (Simulator, sim::Network) are\n"
-      "    named only under sim/ and runtime/; everything else talks to\n"
-      "    runtime::Runtime\n"
       "D7  fields annotated PREDIS_GUARDED_BY(mu) are only accessed\n"
       "    with `mu` held (lock_guard/scoped_lock/unique_lock/manual\n"
       "    lock tracking), and nested acquisitions keep one global\n"

@@ -19,8 +19,6 @@
 //       indices before using them to subscript per-node vectors
 //   D5  reinterpret_cast / const_cast only in the approved low-level
 //       TUs (gf256*, sha256*, bytes*)
-//   D6  the concrete backend types (Simulator, sim::Network) are named
-//       only under sim/ and runtime/
 //   D7  fields annotated PREDIS_GUARDED_BY(mu) are only touched while
 //       `mu` is held, and the global lock-acquisition order is acyclic
 //   D8  every Runtime::schedule()/after() TimerHandle is stored and

@@ -32,7 +32,6 @@ void run_d2(Context& ctx);  ///< No ambient clock/RNG outside sim/.
 void run_d3_call_sites(Context& ctx);  ///< No discarded Expected/try_*.
 void run_d4(Context& ctx);  ///< Handler sender/index bounds checks.
 void run_d5(Context& ctx);  ///< Casts fenced into low-level TUs.
-void run_d6(Context& ctx);  ///< Backend types fenced behind Runtime.
 
 /// Header pass for D3: record must-check names, optionally reporting
 /// missing [[nodiscard]].

@@ -278,34 +278,4 @@ void run_d5(Context& ctx) {
   }
 }
 
-// --- D6: backend types fenced behind the Runtime seam ----------------------
-
-void run_d6(Context& ctx) {
-  // The simulator and the runtime layer (SimRuntime wraps the backend,
-  // ThreadRuntime mirrors it) are the only places allowed to spell the
-  // concrete backend types; tests/sim exercises the backend directly.
-  const std::string generic = fs::path(ctx.file.path).generic_string();
-  if (generic.find("/sim/") != std::string::npos) return;
-  if (generic.find("/runtime/") != std::string::npos) return;
-
-  const std::vector<Token>& t = ctx.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!t[i].ident) continue;
-    if (t[i].text == "Simulator") {
-      emit(ctx, t[i].line, "D6",
-           "'Simulator' outside sim//runtime/: drive scenarios through "
-           "the Runtime interface (runtime::SimRuntime for the "
-           "deterministic backend)");
-      continue;
-    }
-    if (t[i].text == "sim" && i + 2 < t.size() && t[i + 1].text == "::" &&
-        t[i + 2].text == "Network") {
-      emit(ctx, t[i].line, "D6",
-           "'sim::Network' outside sim//runtime/: protocol and harness "
-           "code must talk to runtime::Runtime so every backend can "
-           "carry it");
-    }
-  }
-}
-
 }  // namespace predis::lint

@@ -67,6 +67,14 @@ int usage() {
   return 2;
 }
 
+/// A latency figure for JSON: null when the run recorded no samples.
+std::string json_ms(double ms, std::uint64_t samples) {
+  if (samples == 0) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", ms);
+  return buf;
+}
+
 std::optional<core::Protocol> parse_protocol(const std::string& name) {
   if (name == "pbft") return core::Protocol::kPbft;
   if (name == "hotstuff") return core::Protocol::kHotStuff;
@@ -109,13 +117,15 @@ int run_cluster_cmd(const Args& args) {
     std::printf(
         "{\"protocol\":\"%s\",\"nodes\":%zu,\"wan\":%s,"
         "\"offered_tps\":%.0f,\"throughput_tps\":%.1f,"
-        "\"avg_latency_ms\":%.2f,\"p50_latency_ms\":%.2f,"
-        "\"p99_latency_ms\":%.2f,\"committed_txs\":%llu,"
+        "\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,"
+        "\"p99_latency_ms\":%s,\"committed_txs\":%llu,"
         "\"blocks\":%zu,\"consistent\":%s,\"ledgers_consistent\":%s,"
         "\"consensus_uplink_mbps\":%.2f}\n",
         core::to_string(cfg.protocol), cfg.n_consensus,
         cfg.wan ? "true" : "false", cfg.offered_load_tps, r.throughput_tps,
-        r.avg_latency_ms, r.p50_latency_ms, r.p99_latency_ms,
+        json_ms(r.avg_latency_ms, r.latency_samples).c_str(),
+        json_ms(r.p50_latency_ms, r.latency_samples).c_str(),
+        json_ms(r.p99_latency_ms, r.latency_samples).c_str(),
         static_cast<unsigned long long>(r.committed_txs), r.commit_events,
         r.consistent ? "true" : "false",
         r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps);
@@ -125,8 +135,12 @@ int run_cluster_cmd(const Args& args) {
                 cfg.wan ? "WAN" : "LAN");
     std::printf("throughput    : %.0f tx/s (offered %.0f)\n",
                 r.throughput_tps, cfg.offered_load_tps);
-    std::printf("latency       : avg %.1f / p50 %.1f / p99 %.1f ms\n",
-                r.avg_latency_ms, r.p50_latency_ms, r.p99_latency_ms);
+    if (r.latency_samples == 0) {
+      std::printf("latency       : no samples\n");
+    } else {
+      std::printf("latency       : avg %.1f / p50 %.1f / p99 %.1f ms\n",
+                  r.avg_latency_ms, r.p50_latency_ms, r.p99_latency_ms);
+    }
     std::printf("blocks        : %zu (%llu txs)\n", r.commit_events,
                 static_cast<unsigned long long>(r.committed_txs));
     std::printf("uplink        : %.1f Mbps avg per consensus node\n",
@@ -157,11 +171,13 @@ int run_distribution_cmd(const Args& args) {
   if (args.flag("json")) {
     std::printf(
         "{\"topology\":\"%s\",\"full_nodes\":%zu,\"zones\":%zu,"
-        "\"throughput_tps\":%.1f,\"avg_latency_ms\":%.2f,"
+        "\"throughput_tps\":%.1f,\"avg_latency_ms\":%s,"
         "\"coverage\":%.3f,\"relayers\":%zu,\"uplink_mbps\":%.2f,"
         "\"consistent\":%s}\n",
         multizone::to_string(cfg.topology), cfg.n_full, cfg.n_zones,
-        r.throughput_tps, r.avg_latency_ms, r.full_node_coverage,
+        r.throughput_tps,
+        json_ms(r.avg_latency_ms, r.latency_samples).c_str(),
+        r.full_node_coverage,
         r.relayers_seen, r.consensus_uplink_mbps,
         r.consistent ? "true" : "false");
   } else {

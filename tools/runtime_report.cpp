@@ -17,8 +17,9 @@
 //
 // Usage: runtime_report [--smoke] [--strict] [--workers N] [--out-dir DIR]
 //   --smoke    reduced durations (CI-sized runs)
-//   --strict   exit non-zero when a run commits nothing, breaks
-//              consistency, or the two backends disagree on safety
+//   --strict   exit non-zero when a run breaks consistency or records
+//              no latency samples, or the cluster scenario commits
+//              nothing
 //   --workers  worker threads for the wall-clock backend (default 4)
 //   --out-dir  directory for BENCH_runtime.json (default: cwd)
 #include <cstdio>
@@ -43,6 +44,7 @@ struct RunNumbers {
   double throughput_tps = 0.0;
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
+  std::uint64_t latency_samples = 0;  ///< 0: p50/p99 are undefined.
   std::uint64_t committed_txs = 0;
   bool consistent = true;
 };
@@ -90,6 +92,7 @@ RunNumbers run_cluster_on(bool smoke, predis::runtime::Runtime* backend,
   n.throughput_tps = r.throughput_tps;
   n.p50_latency_ms = r.p50_latency_ms;
   n.p99_latency_ms = r.p99_latency_ms;
+  n.latency_samples = r.latency_samples;
   n.committed_txs = r.committed_txs;
   n.consistent = r.consistent && r.ledgers_consistent;
   return n;
@@ -108,9 +111,10 @@ RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
   n.clock = clock;
   n.workers = workers;
   n.throughput_tps = r.throughput_tps;
-  n.p50_latency_ms = 0.0;  // Runner reports mean only.
-  n.p99_latency_ms = 0.0;
-  n.committed_txs = static_cast<std::uint64_t>(r.last_executed_max);
+  n.p50_latency_ms = r.p50_latency_ms;
+  n.p99_latency_ms = r.p99_latency_ms;
+  n.latency_samples = r.latency_samples;
+  n.committed_txs = r.committed_txs;
   n.consistent = r.consistent;
   return n;
 }
@@ -118,10 +122,17 @@ RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
 std::unique_ptr<predis::runtime::ThreadRuntime> make_wall_backend(
     std::size_t workers) {
   predis::runtime::ThreadRuntimeConfig tcfg;
-  tcfg.clock = predis::runtime::ClockMode::kWall;
   tcfg.workers = workers;
   tcfg.latency = predis::runtime::lan_latency();
   return std::make_unique<predis::runtime::ThreadRuntime>(tcfg);
+}
+
+/// A latency figure: null when the run recorded no samples.
+std::string json_ms(double ms, std::uint64_t samples) {
+  if (samples == 0) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", ms);
+  return buf;
 }
 
 void append_json(std::string& out, const RunNumbers& n, bool last) {
@@ -129,11 +140,13 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
   std::snprintf(
       tmp, sizeof(tmp),
       "    {\"scenario\": \"%s\", \"backend\": \"%s\", \"clock\": \"%s\", "
-      "\"workers\": %zu, \"throughput_tps\": %.1f, \"p50_latency_ms\": %.3f, "
-      "\"p99_latency_ms\": %.3f, \"committed_txs\": %llu, "
-      "\"consistent\": %s}%s\n",
+      "\"workers\": %zu, \"throughput_tps\": %.1f, \"p50_latency_ms\": %s, "
+      "\"p99_latency_ms\": %s, \"latency_samples\": %llu, "
+      "\"committed_txs\": %llu, \"consistent\": %s}%s\n",
       n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-      n.throughput_tps, n.p50_latency_ms, n.p99_latency_ms,
+      n.throughput_tps, json_ms(n.p50_latency_ms, n.latency_samples).c_str(),
+      json_ms(n.p99_latency_ms, n.latency_samples).c_str(),
+      static_cast<unsigned long long>(n.latency_samples),
       static_cast<unsigned long long>(n.committed_txs),
       n.consistent ? "true" : "false", last ? "" : ",");
   out += tmp;
@@ -187,18 +200,27 @@ int main(int argc, char** argv) {
   std::printf("runtime_report: %zu runs (%s)\n", runs.size(),
               smoke ? "smoke" : "full");
   for (const RunNumbers& n : runs) {
-    std::printf(
-        "  %-24s %-8s %-8s workers=%zu  %9.1f tx/s  p50 %7.2f ms  "
-        "p99 %7.2f ms  committed %llu  %s\n",
-        n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-        n.throughput_tps, n.p50_latency_ms, n.p99_latency_ms,
-        static_cast<unsigned long long>(n.committed_txs),
-        n.consistent ? "consistent" : "INCONSISTENT");
-    if (!n.consistent) ok = false;
+    char latency[64];
+    if (n.latency_samples == 0) {
+      std::snprintf(latency, sizeof(latency), "%-30s", "no samples");
+    } else {
+      std::snprintf(latency, sizeof(latency), "p50 %7.2f ms  p99 %7.2f ms",
+                    n.p50_latency_ms, n.p99_latency_ms);
+    }
+    std::printf("  %-24s %-8s %-8s workers=%zu  %9.1f tx/s  %s  "
+                "committed %llu  %s\n",
+                n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(),
+                n.workers, n.throughput_tps, latency,
+                static_cast<unsigned long long>(n.committed_txs),
+                n.consistent ? "consistent" : "INCONSISTENT");
+    if (!n.consistent || n.latency_samples == 0) ok = false;
     if (n.scenario == "predis_cluster" && n.committed_txs == 0) ok = false;
   }
 
-  std::string json = "{\n  \"runs\": [\n";
+  std::string json = "{\n  \"schema\": \"predis-runtime/1\", "
+                     "\"tool\": \"runtime_report\", \"smoke\": ";
+  json += smoke ? "true" : "false";
+  json += ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     append_json(json, runs[i], i + 1 == runs.size());
   }
