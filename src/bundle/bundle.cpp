@@ -2,24 +2,28 @@
 
 namespace predis {
 
-Bytes BundleHeader::signing_bytes() const {
-  Writer w;
+void BundleHeader::encode_signed(Writer& w) const {
   w.u32(producer);
   w.u64(height);
   w.hash(parent_hash);
   w.vec_u64(tip_list);
   w.hash(tx_root);
   w.hash(stripe_root);
+}
+
+Bytes BundleHeader::signing_bytes() const {
+  Writer w;
+  encode_signed(w);
   return std::move(w).take();
 }
 
+Hash32 BundleHeader::hash() const {
+  return with_encoding([this](Writer& w) { encode_signed(w); },
+                       &Sha256::hash);
+}
+
 void BundleHeader::encode(Writer& w) const {
-  w.u32(producer);
-  w.u64(height);
-  w.hash(parent_hash);
-  w.vec_u64(tip_list);
-  w.hash(tx_root);
-  w.hash(stripe_root);
+  encode_signed(w);
   w.raw(BytesView{signature.data(), signature.size()});
 }
 
@@ -54,29 +58,43 @@ Bundle make_bundle(NodeId producer, BundleHeight height,
   b.header.tip_list = std::move(tip_list);
   b.header.tx_root = Bundle::tx_root_of(txs);
   b.txs = std::move(txs);
-  b.header.signature = key.sign(BytesView{b.header.signing_bytes()});
+  b.header.signature = with_encoding(
+      [&b](Writer& w) { b.header.encode_signed(w); },
+      [&key](BytesView m) { return key.sign(m); });
   return b;
 }
 
 bool verify_bundle_signature(const BundleHeader& header,
                              const PublicKey& producer_key) {
-  return verify(producer_key, BytesView{header.signing_bytes()},
-                header.signature);
+  return with_encoding(
+      [&header](Writer& w) { header.encode_signed(w); },
+      [&](BytesView m) { return verify(producer_key, m, header.signature); });
 }
 
 std::size_t verify_bundle_signatures(const std::vector<HeaderSigCheck>& checks,
                                      bool* ok) {
-  // The signing bytes must stay alive across the verify_batch call, so
-  // materialize them per header first.
-  std::vector<Bytes> bytes;
-  bytes.reserve(checks.size());
-  std::vector<SigCheck> items;
-  items.reserve(checks.size());
-  for (const HeaderSigCheck& c : checks) {
-    bytes.push_back(c.header->signing_bytes());
-    items.push_back({c.key, BytesView{bytes.back()}, &c.header->signature});
-  }
-  return verify_batch(items.data(), items.size(), ok);
+  // Every header's signed portion goes back to back into one scratch
+  // buffer; the message views are cut only once it has stopped growing.
+  std::vector<std::size_t> ends;
+  ends.reserve(checks.size());
+  return with_encoding(
+      [&](Writer& w) {
+        for (const HeaderSigCheck& c : checks) {
+          c.header->encode_signed(w);
+          ends.push_back(w.size());
+        }
+      },
+      [&](BytesView all) {
+        std::vector<SigCheck> items;
+        items.reserve(checks.size());
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i < checks.size(); ++i) {
+          items.push_back({checks[i].key, all.subspan(begin, ends[i] - begin),
+                           &checks[i].header->signature});
+          begin = ends[i];
+        }
+        return verify_batch(items.data(), items.size(), ok);
+      });
 }
 
 }  // namespace predis

@@ -34,12 +34,17 @@ struct BundleHeader {
   Signature signature{};
 
   /// Deterministic encoding of the signed portion (everything except
-  /// the signature itself).
+  /// the signature itself) — the one field list hash(), sign/verify and
+  /// encode() all share.
+  void encode_signed(Writer& w) const;
+
+  /// The signed portion as owned bytes, for callers that re-sign a
+  /// hand-built header; hot paths use encode_signed via with_encoding.
   Bytes signing_bytes() const;
 
   /// Header hash = SHA-256 of the signed portion. Identifies the bundle:
   /// by Theorem 3.1, equal header hashes imply equal bundles.
-  Hash32 hash() const { return Sha256::hash(BytesView{signing_bytes()}); }
+  Hash32 hash() const;
 
   void encode(Writer& w) const;
   static BundleHeader decode(Reader& r);

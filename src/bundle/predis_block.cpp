@@ -24,8 +24,7 @@ const char* to_string(BlockVerifyResult r) {
   return "?";
 }
 
-Bytes PredisBlock::signing_bytes() const {
-  Writer w;
+void PredisBlock::encode_signed(Writer& w) const {
   w.u64(height);
   w.hash(parent_hash);
   w.u32(leader);
@@ -34,11 +33,21 @@ Bytes PredisBlock::signing_bytes() const {
   w.vec_u64(cut_heights);
   w.vec_hash(header_hashes);
   w.hash(tx_root);
+}
+
+Bytes PredisBlock::signing_bytes() const {
+  Writer w;
+  encode_signed(w);
   return std::move(w).take();
 }
 
+Hash32 PredisBlock::hash() const {
+  return with_encoding([this](Writer& w) { encode_signed(w); },
+                       &Sha256::hash);
+}
+
 void PredisBlock::encode(Writer& w) const {
-  w.raw(BytesView{signing_bytes()});
+  encode_signed(w);
   w.raw(BytesView{signature.data(), signature.size()});
 }
 
@@ -110,7 +119,9 @@ PredisBlock build_predis_block(const Mempool& mempool, NodeId leader,
 
   block.tx_root =
       compute_block_tx_root(mempool, block.prev_heights, block.cut_heights);
-  block.signature = leader_key.sign(BytesView{block.signing_bytes()});
+  block.signature = with_encoding(
+      [&block](Writer& w) { block.encode_signed(w); },
+      [&leader_key](BytesView m) { return leader_key.sign(m); });
   return block;
 }
 
@@ -137,8 +148,10 @@ BlockVerifyResult verify_predis_block(const Mempool& mempool,
     return BlockVerifyResult::kBadStructure;
   }
 
-  if (!verify(leader_key, BytesView{block.signing_bytes()},
-              block.signature)) {
+  const bool signed_ok = with_encoding(
+      [&block](Writer& w) { block.encode_signed(w); },
+      [&](BytesView m) { return verify(leader_key, m, block.signature); });
+  if (!signed_ok) {
     return BlockVerifyResult::kBadSignature;
   }
 
@@ -205,15 +218,24 @@ std::vector<Transaction> extract_transactions(const Mempool& mempool,
 Hash32 compute_block_tx_root(const Mempool& mempool,
                              const std::vector<BundleHeight>& prev_heights,
                              const std::vector<BundleHeight>& cut_heights) {
-  std::vector<Hash32> leaves;
+  // Two passes: collect the bundles (and the leaf count) first, so the
+  // leaf vector is sized once instead of regrowing per bundle.
+  std::vector<const Bundle*> bundles;
+  std::size_t leaf_count = 0;
   for (std::size_t i = 0; i < cut_heights.size(); ++i) {
     for (BundleHeight h = prev_heights[i] + 1; h <= cut_heights[i]; ++h) {
       const Bundle* b = mempool.chain(i).get(h);
       if (b == nullptr) {
         throw std::logic_error("compute_block_tx_root: missing bundle");
       }
-      for (const auto& tx : b->txs) leaves.push_back(tx.id());
+      bundles.push_back(b);
+      leaf_count += b->txs.size();
     }
+  }
+  std::vector<Hash32> leaves;
+  leaves.reserve(leaf_count);
+  for (const Bundle* b : bundles) {
+    for (const auto& tx : b->txs) leaves.push_back(tx.id());
   }
   if (leaves.empty()) return kZeroHash;
   return MerkleTree::root_of(leaves);

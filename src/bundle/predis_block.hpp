@@ -31,8 +31,13 @@ struct PredisBlock {
   Hash32 tx_root = kZeroHash;
   Signature signature{};
 
+  /// Deterministic encoding of the signed portion (everything except
+  /// the signature) — shared by hash(), sign/verify and encode().
+  void encode_signed(Writer& w) const;
+  /// The signed portion as owned bytes, for callers that re-sign a
+  /// hand-built block; hot paths use encode_signed via with_encoding.
   Bytes signing_bytes() const;
-  Hash32 hash() const { return Sha256::hash(BytesView{signing_bytes()}); }
+  Hash32 hash() const;
 
   void encode(Writer& w) const;
   static PredisBlock decode(Reader& r);

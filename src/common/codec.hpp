@@ -82,9 +82,13 @@ class Writer {
  private:
   template <typename T>
   void write_le(T v) {
+    // Assemble on the stack, then one append: a single capacity check
+    // per field instead of one per byte.
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), le, le + sizeof(T));
   }
 
   Bytes buf_;
@@ -177,12 +181,40 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+namespace codec_detail {
+
+/// Scratch buffers that grew past this are freed after use, so one
+/// oversized encode cannot pin memory for the rest of a thread's life.
+inline constexpr std::size_t kScratchKeepBytes = 4096;
+
+/// Per-thread encode buffer reused by with_encoding().
+inline thread_local Bytes scratch;
+
+}  // namespace codec_detail
+
+/// Runs `encode(Writer&)` into this thread's reused scratch buffer and
+/// returns `use(BytesView)` over the result — structure hashing and
+/// signing without a heap allocation per call. Re-entrant: a nested
+/// call (an encode() that itself hashes) finds the scratch taken, grows
+/// a buffer of its own for the duration, and the outer call's buffer
+/// wins when both are handed back. The view is valid only inside `use`.
+template <typename Encode, typename Use>
+auto with_encoding(Encode&& encode, Use&& use) {
+  Writer w(std::move(codec_detail::scratch));
+  encode(w);
+  auto result = use(BytesView{w.data()});
+  Bytes buf = std::move(w).take();
+  if (buf.capacity() <= codec_detail::kScratchKeepBytes) {
+    codec_detail::scratch = std::move(buf);
+  }
+  return result;
+}
+
 /// Hash an encodable structure: SHA-256 over its deterministic encoding.
 template <typename T>
 Hash32 hash_of(const T& value) {
-  Writer w;
-  value.encode(w);
-  return Sha256::hash(w.data());
+  return with_encoding([&value](Writer& w) { value.encode(w); },
+                       &Sha256::hash);
 }
 
 }  // namespace predis

@@ -30,10 +30,11 @@ class Metrics {
     committed_txs_ += tx_count;
   }
 
-  /// One transaction's client-observed latency (submit -> first reply).
-  void record_latency(SimTime latency) {
+  /// Client-observed latencies (submit -> first reply) of the
+  /// transactions one reply acknowledged, under a single lock.
+  void record_latencies(const std::vector<SimTime>& latencies) {
     std::lock_guard<std::mutex> lock(m_);
-    latencies_.add(to_milliseconds(latency));
+    for (SimTime latency : latencies) latencies_.add(to_milliseconds(latency));
   }
 
   /// Count a transaction submitted by a client (offered load).

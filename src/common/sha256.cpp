@@ -1,6 +1,7 @@
 #include "common/sha256.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/sha256_kernels.hpp"
@@ -8,13 +9,60 @@
 // The compression rounds themselves live in sha256_kernels.cpp (and
 // the SHA-NI / AVX2 translation units it dispatches to); this file
 // keeps the streaming context — buffering, padding, finalization —
-// which is kernel-independent.
+// and the one-shot hash(), both kernel-independent.
 
 namespace predis {
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+namespace {
+
+constexpr std::uint32_t kInitialState[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// Big-endian stores as one byte swap plus one move. GCC assembles the
+// shift-per-byte spelling of these in registers, which for a one-block
+// message cost about half as much again as the compression itself.
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// Pads the final partial block (`len` < 64 bytes at `tail`) of a
+// message of `bit_length` bits — 0x80, zeros, 64-bit big-endian length —
+// on the stack and folds the resulting one or two blocks into `state`
+// with a single kernel call.
+void compress_tail(sha256_kernels::CompressFn compress, std::uint32_t* state,
+                   const std::uint8_t* tail, std::size_t len,
+                   std::uint64_t bit_length) {
+  const std::size_t blocks = len < 56 ? 1 : 2;
+  std::uint8_t block[128];
+  if (len > 0) std::memcpy(block, tail, len);
+  block[len] = 0x80;
+  std::memset(block + len + 1, 0, blocks * 64 - 8 - (len + 1));
+  store_be64(block + blocks * 64 - 8, bit_length);
+  compress(state, block, blocks);
+}
+
+Hash32 store_digest(const std::uint32_t* state) {
+  Hash32 out;
+  for (std::size_t i = 0; i < 8; ++i) store_be32(out.data() + i * 4, state[i]);
+  return out;
+}
+
+}  // namespace
+
+Sha256::Sha256() {
+  std::copy(kInitialState, kInitialState + 8, state_.begin());
+}
 
 void Sha256::update(BytesView data) {
   const sha256_kernels::CompressFn compress = sha256_kernels::compress();
@@ -47,31 +95,23 @@ void Sha256::update(BytesView data) {
 }
 
 Hash32 Sha256::digest() {
-  // Append 0x80, pad with zeros, append 64-bit big-endian bit length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t rem = buffer_len_;
-  const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length_ >> (56 - 8 * i));
-  }
-  update(BytesView{pad, pad_len});
-  update(BytesView{len_bytes, 8});
-
-  Hash32 out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  compress_tail(sha256_kernels::compress(), state_.data(), buffer_.data(),
+                buffer_len_, bit_length_);
+  return store_digest(state_.data());
 }
 
 Hash32 Sha256::hash(BytesView data) {
-  Sha256 ctx;
-  ctx.update(data);
-  return ctx.digest();
+  // Whole blocks go straight from the input to the kernel; only the
+  // padded tail is copied. No streaming context, one dispatch lookup.
+  const sha256_kernels::CompressFn compress = sha256_kernels::compress();
+  std::uint32_t state[8];
+  std::memcpy(state, kInitialState, sizeof(state));
+  const std::size_t whole = data.size() / 64;
+  if (whole > 0) compress(state, data.data(), whole);
+  compress_tail(compress, state, data.data() + whole * 64,
+                data.size() - whole * 64,
+                static_cast<std::uint64_t>(data.size()) * 8);
+  return store_digest(state);
 }
 
 Hash32 hash_pair(const Hash32& left, const Hash32& right) {

@@ -27,7 +27,9 @@ class Sha256 {
   /// afterwards (construct a fresh one instead).
   Hash32 digest();
 
-  /// One-shot convenience.
+  /// One-shot hash, no streaming context: whole blocks go straight to
+  /// the kernel and the padded tail is built on the stack, so an input
+  /// under 56 bytes costs a single compression call.
   static Hash32 hash(BytesView data);
 
  private:

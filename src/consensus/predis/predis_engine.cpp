@@ -410,10 +410,11 @@ Validity PredisEngine::validate_payload(
   if (block.prev_heights != expected_prev) return Validity::kInvalid;
   if (block.leader >= ctx_.n()) return Validity::kInvalid;
 
+  // The leader's key is its chain's producer key (same derivation), so
+  // no KeyPair is rebuilt — and no key-registry write taken — per block.
   std::vector<MissingBundleRef> missing;
   const BlockVerifyResult result = verify_predis_block(
-      mempool_, block, KeyPair::from_seed(ctx_.node(block.leader)).public_key(),
-      &missing);
+      mempool_, block, mempool_.producer_key(block.leader), &missing);
   switch (result) {
     case BlockVerifyResult::kOk:
       return Validity::kValid;

@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/merkle.hpp"
 #include "common/sha256.hpp"
 #include "common/types.hpp"
@@ -29,13 +30,15 @@ struct LedgerEntry {
 
   /// Hash binding this entry and, transitively, the whole prefix.
   Hash32 record_hash() const {
-    Writer w;
-    w.u64(height);
-    w.hash(parent);
-    w.hash(payload_digest);
-    w.hash(tx_root);
-    w.u64(tx_count);
-    return Sha256::hash(w.data());
+    return with_encoding(
+        [this](Writer& w) {
+          w.u64(height);
+          w.hash(parent);
+          w.hash(payload_digest);
+          w.hash(tx_root);
+          w.u64(tx_count);
+        },
+        &Sha256::hash);
   }
 
   void encode(Writer& w) const {

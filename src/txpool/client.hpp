@@ -63,14 +63,16 @@ class ClientActor final : public runtime::Actor {
     const auto* reply = dynamic_cast<const ClientReplyMsg*>(msg.get());
     if (reply == nullptr) return;
     const SimTime now = net_.now();
+    latency_batch_.clear();
     for (TxSeq seq : reply->seqs) {
       auto it = pending_.find(seq);
       if (it == pending_.end()) continue;  // duplicate reply
       if (it->second.submitted_at >= cfg_.record_from) {
-        metrics_.record_latency(now - it->second.submitted_at);
+        latency_batch_.push_back(now - it->second.submitted_at);
       }
       pending_.erase(it);
     }
+    if (!latency_batch_.empty()) metrics_.record_latencies(latency_batch_);
   }
 
   NodeId id() const { return cfg_.self; }
@@ -164,6 +166,9 @@ class ClientActor final : public runtime::Actor {
   // resubmit_overdue() iterates this and the resulting batches go on
   // the wire: keep the walk in ascending-seq order (D1).
   std::map<TxSeq, Pending> pending_;
+  // One reply's latencies, handed to Metrics under a single lock; kept
+  // as a member so its capacity is reused across replies.
+  std::vector<SimTime> latency_batch_;
 };
 
 }  // namespace predis

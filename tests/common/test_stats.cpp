@@ -58,8 +58,10 @@ TEST(Metrics, ThroughputCountsWindowOnly) {
 
 TEST(Metrics, LatenciesInMilliseconds) {
   Metrics m;
-  m.record_latency(milliseconds(250));
+  m.record_latencies({milliseconds(250)});
   EXPECT_DOUBLE_EQ(m.latencies().mean(), 250.0);
+  m.record_latencies({milliseconds(50), milliseconds(150)});
+  EXPECT_DOUBLE_EQ(m.latencies().mean(), 150.0);
 }
 
 TEST(Metrics, LatenciesReturnsAnIndependentSnapshot) {
@@ -68,9 +70,9 @@ TEST(Metrics, LatenciesReturnsAnIndependentSnapshot) {
   // read the vector while recorder threads grew it. It now returns a
   // locked value copy that later records cannot mutate.
   Metrics m;
-  m.record_latency(milliseconds(100));
+  m.record_latencies({milliseconds(100)});
   const Percentiles snap = m.latencies();
-  m.record_latency(milliseconds(900));
+  m.record_latencies({milliseconds(900)});
   EXPECT_DOUBLE_EQ(snap.mean(), 100.0);
   EXPECT_DOUBLE_EQ(m.latencies().mean(), 500.0);
 }

@@ -199,5 +199,31 @@ TEST(PredisPbft, EquivocatingProducerIsBannedEverywhere) {
   EXPECT_GT(cluster.metrics.committed_txs(), 0u);
 }
 
+TEST(PredisEngineValidate, RejectsBlockSignedByNonLeaderKey) {
+  // validate_payload checks the leader signature against the leader's
+  // producer key. The same empty-cut block must pass when the leader
+  // signed it and fail when another consensus node did.
+  TestCluster cluster(4, 1);
+  NodeContext ctx = cluster.context(1);
+  PredisEngine engine(ctx, PredisConfig{}, cluster.producer_keys(),
+                      KeyPair::from_seed(cluster.ids[1]));
+  const std::vector<BundleHeight> prev(4, 0);
+  auto payload_signed_by = [&](NodeId signer) {
+    return std::make_shared<PredisPayload>(
+        build_predis_block(engine.mempool(), /*leader=*/0, 1, 1, 0,
+                           kZeroHash, prev, KeyPair::from_seed(signer)));
+  };
+  ASSERT_EQ(verify_predis_block(engine.mempool(),
+                                payload_signed_by(cluster.ids[2])->block(),
+                                engine.mempool().producer_key(0)),
+            BlockVerifyResult::kBadSignature);
+  EXPECT_EQ(engine.validate_payload(payload_signed_by(cluster.ids[0]), prev),
+            Validity::kValid);
+  EXPECT_EQ(engine.validate_payload(payload_signed_by(cluster.ids[2]), prev),
+            Validity::kInvalid);
+  EXPECT_EQ(engine.validate_payload(payload_signed_by(cluster.ids[1]), prev),
+            Validity::kInvalid);
+}
+
 }  // namespace
 }  // namespace predis::consensus::predis

@@ -288,6 +288,40 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
       predis::make_bundle(0, 1, predis::kZeroHash, {1, 0, 0, 0}, txs, key);
   predis::erasure::StripeCodec::Encoded arena;
 
+  // Transaction-path structure hashing: a 4-chain mempool holding two
+  // 50-tx bundles per chain, and the block a leader cuts over it (the
+  // shape of one P-PBFT proposal: 4 header hashes, 400 Merkle leaves).
+  constexpr std::size_t kChains = 4;
+  std::vector<predis::PublicKey> producer_keys;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    producer_keys.push_back(KeyPair::from_seed(i).public_key());
+  }
+  predis::Mempool mempool(kChains, producer_keys);
+  for (std::size_t p = 0; p < kChains; ++p) {
+    Hash32 parent = predis::kZeroHash;
+    for (predis::BundleHeight h = 1; h <= 2; ++h) {
+      std::vector<predis::Transaction> chain_txs(50);
+      for (std::size_t i = 0; i < chain_txs.size(); ++i) {
+        chain_txs[i].client = static_cast<predis::NodeId>(p);
+        chain_txs[i].seq = h * 1000 + i;
+      }
+      const predis::Bundle b = predis::make_bundle(
+          static_cast<predis::NodeId>(p), h, parent,
+          std::vector<predis::BundleHeight>(kChains, 2), std::move(chain_txs),
+          KeyPair::from_seed(p));
+      parent = b.header.hash();
+      mempool.add(b);
+    }
+  }
+  const predis::PredisBlock block = predis::build_predis_block(
+      mempool, 0, 1, 1, 0, predis::kZeroHash,
+      std::vector<predis::BundleHeight>(kChains, 0), KeyPair::from_seed(0));
+  if (predis::verify_predis_block(mempool, block, producer_keys[0]) !=
+      predis::BlockVerifyResult::kOk) {
+    std::fprintf(stderr, "bench_report: predis_block_verify fixture invalid\n");
+    return 1;
+  }
+
   std::vector<Entry> entries;
   entries.push_back({"sha256/25600", 25'600, [&] {
                        benchmark_sink(Sha256::hash(data)[0]);
@@ -298,6 +332,17 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
   entries.push_back({"sign_verify/256", 0, [&] {
                        benchmark_sink(
                            predis::verify(key.public_key(), msg, sig) ? 1 : 0);
+                     }});
+  entries.push_back({"tx_id", 0, [&] {
+                       benchmark_sink(txs[7].id()[0]);
+                     }});
+  entries.push_back({"bundle_header_hash", 0, [&] {
+                       benchmark_sink(bundle.header.hash()[0]);
+                     }});
+  entries.push_back({"predis_block_verify", 0, [&] {
+                       benchmark_sink(static_cast<std::size_t>(
+                           predis::verify_predis_block(
+                               mempool, block, producer_keys[0])));
                      }});
   entries.push_back({"stripe_codec_encode_into/k7n10", 0, [&] {
                        codec.encode_into(bundle, arena);
