@@ -40,11 +40,7 @@ BundleHeader BundleHeader::decode(Reader& r) {
 }
 
 Hash32 Bundle::tx_root_of(const std::vector<Transaction>& txs) {
-  if (txs.empty()) return kZeroHash;
-  std::vector<Hash32> leaves;
-  leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.id());
-  return MerkleTree::root_of(leaves);
+  return tx_merkle_root(txs);
 }
 
 Bundle make_bundle(NodeId producer, BundleHeight height,

@@ -1,6 +1,7 @@
 #include "bundle/predis_block.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace predis {
 
@@ -199,46 +200,54 @@ BlockVerifyResult verify_predis_block(const Mempool& mempool,
   return BlockVerifyResult::kOk;
 }
 
+namespace {
+
+// Calls fn(const Bundle&) for every bundle a block's cut confirms,
+// chain by chain in height order; throws, naming `caller`, when the
+// mempool misses one.
+template <typename Fn>
+void for_each_cut_bundle(const Mempool& mempool,
+                         const std::vector<BundleHeight>& prev_heights,
+                         const std::vector<BundleHeight>& cut_heights,
+                         const char* caller, Fn&& fn) {
+  for (std::size_t i = 0; i < cut_heights.size(); ++i) {
+    for (BundleHeight h = prev_heights[i] + 1; h <= cut_heights[i]; ++h) {
+      const Bundle* b = mempool.chain(i).get(h);
+      if (b == nullptr) {
+        throw std::logic_error(std::string(caller) + ": missing bundle");
+      }
+      fn(*b);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<Transaction> extract_transactions(const Mempool& mempool,
                                               const PredisBlock& block) {
   std::vector<Transaction> txs;
-  for (std::size_t i = 0; i < block.cut_heights.size(); ++i) {
-    for (BundleHeight h = block.prev_heights[i] + 1;
-         h <= block.cut_heights[i]; ++h) {
-      const Bundle* b = mempool.chain(i).get(h);
-      if (b == nullptr) {
-        throw std::logic_error("extract_transactions: missing bundle");
-      }
-      txs.insert(txs.end(), b->txs.begin(), b->txs.end());
-    }
-  }
+  for_each_cut_bundle(mempool, block.prev_heights, block.cut_heights,
+                      "extract_transactions", [&txs](const Bundle& b) {
+                        txs.insert(txs.end(), b.txs.begin(), b.txs.end());
+                      });
   return txs;
 }
 
 Hash32 compute_block_tx_root(const Mempool& mempool,
                              const std::vector<BundleHeight>& prev_heights,
                              const std::vector<BundleHeight>& cut_heights) {
-  // Two passes: collect the bundles (and the leaf count) first, so the
-  // leaf vector is sized once instead of regrowing per bundle.
-  std::vector<const Bundle*> bundles;
+  // Two walks over the cut: count the leaves, then hash each bundle's
+  // transactions as one batch into the shared leaf array.
+  const auto for_each_bundle = [&](auto&& fn) {
+    for_each_cut_bundle(mempool, prev_heights, cut_heights,
+                        "compute_block_tx_root", fn);
+  };
   std::size_t leaf_count = 0;
-  for (std::size_t i = 0; i < cut_heights.size(); ++i) {
-    for (BundleHeight h = prev_heights[i] + 1; h <= cut_heights[i]; ++h) {
-      const Bundle* b = mempool.chain(i).get(h);
-      if (b == nullptr) {
-        throw std::logic_error("compute_block_tx_root: missing bundle");
-      }
-      bundles.push_back(b);
-      leaf_count += b->txs.size();
-    }
-  }
-  std::vector<Hash32> leaves;
-  leaves.reserve(leaf_count);
-  for (const Bundle* b : bundles) {
-    for (const auto& tx : b->txs) leaves.push_back(tx.id());
-  }
-  if (leaves.empty()) return kZeroHash;
-  return MerkleTree::root_of(leaves);
+  for_each_bundle(
+      [&leaf_count](const Bundle& b) { leaf_count += b.txs.size(); });
+  return tx_merkle_root(leaf_count, [&](auto&& add) {
+    for_each_bundle([&add](const Bundle& b) { add(b.txs); });
+  });
 }
 
 }  // namespace predis

@@ -66,20 +66,26 @@ Hash32 MerkleTree::root_of(const std::vector<Hash32>& leaves) {
     throw std::invalid_argument("MerkleTree: empty leaf set");
   }
   if (leaves.size() == 1) return leaves.front();
-  // In-place level halving inside a reused scratch buffer: out[i] of
-  // the pair batch lands at or before pair i, which hash_pairs()
-  // explicitly permits.
   thread_local std::vector<Hash32> scratch;
   scratch.resize(padded(leaves.size()));
   std::copy(leaves.begin(), leaves.end(), scratch.begin());
-  std::size_t w = leaves.size();
+  return root_in_place(scratch.data(), leaves.size());
+}
+
+Hash32 MerkleTree::root_in_place(Hash32* nodes, std::size_t count) {
+  if (count == 0) {
+    throw std::invalid_argument("MerkleTree: empty leaf set");
+  }
+  // out[i] of the pair batch lands at or before pair i, which
+  // hash_pairs() explicitly permits.
+  std::size_t w = count;
   while (w > 1) {
-    if (w % 2 != 0) scratch[w] = scratch[w - 1];
+    if (w % 2 != 0) nodes[w] = nodes[w - 1];
     const std::size_t next_w = padded(w) / 2;
-    hash_pairs(scratch.data(), next_w, scratch.data());
+    hash_pairs(nodes, next_w, nodes);
     w = next_w;
   }
-  return scratch.front();
+  return nodes[0];
 }
 
 bool MerkleTree::verify(const Hash32& root, const Hash32& leaf,

@@ -53,6 +53,13 @@ class MerkleTree {
   /// buffer, so the steady state allocates nothing.
   static Hash32 root_of(const std::vector<Hash32>& leaves);
 
+  /// Root over the `count` >= 1 leaves at `nodes`, computed by halving
+  /// the levels in place: `nodes` must have room for count + 1 hashes
+  /// when count is odd (the duplicated last node), and its contents
+  /// are overwritten. For callers that write leaves straight into
+  /// their own reused buffer.
+  static Hash32 root_in_place(Hash32* nodes, std::size_t count);
+
   /// Verify that `leaf` is included under `root` via `proof`.
   static bool verify(const Hash32& root, const Hash32& leaf,
                      const MerkleProof& proof);

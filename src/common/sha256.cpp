@@ -129,6 +129,11 @@ void hash_pairs(const Hash32* pairs, std::size_t pair_count, Hash32* out) {
       reinterpret_cast<const std::uint8_t*>(pairs), pair_count, out);
 }
 
+void hash_padded_blocks(const std::uint8_t* blocks, std::size_t count,
+                        Hash32* out) {
+  sha256_kernels::hash_blocks()(blocks, count, out);
+}
+
 std::string short_hex(const Hash32& h) {
   return to_hex(BytesView{h.data(), 4});
 }

@@ -51,6 +51,15 @@ Hash32 hash_pair(const Hash32& left, const Hash32& right);
 /// Merkle builder uses.
 void hash_pairs(const Hash32* pairs, std::size_t pair_count, Hash32* out);
 
+/// Batched one-block hashing: out[i] = SHA-256 of the message of at
+/// most 55 bytes whose padded 64-byte block (message, 0x80, zeros,
+/// 64-bit big-endian bit length) the caller wrote at blocks + 64*i.
+/// One kernel call for the whole batch, which the SHA-NI kernel runs
+/// two messages at a time and the AVX2 kernel eight at a time — the
+/// transaction-id leaf path (tx_ids in txpool/transaction.hpp).
+void hash_padded_blocks(const std::uint8_t* blocks, std::size_t count,
+                        Hash32* out);
+
 /// All-zero digest, used as "null hash" (genesis parents etc.).
 inline constexpr Hash32 kZeroHash{};
 

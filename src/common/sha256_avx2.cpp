@@ -3,15 +3,18 @@
 // SHA-NI, AVX2 has no hash instructions — the win is width: eight
 // independent 64-byte messages ride the eight 32-bit lanes of a ymm
 // register through the same scalar round formulas, one message per
-// lane. That is exactly the Merkle level shape (many independent
-// digest pairs), so only the pair-batch entry point exists here;
-// single-stream hashing under a forced avx2 kernel stays portable.
+// lane. That is exactly the shape of the batch entries (a Merkle
+// level's digest pairs, a bundle's transaction-id leaves), so only
+// those exist here; single-stream hashing under a forced avx2 kernel
+// stays portable.
 #if defined(PREDIS_HAVE_AVX2)
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/sha256.hpp"
 
@@ -19,6 +22,8 @@ namespace predis::sha256_kernels::detail {
 
 void hash_pairs_portable(const std::uint8_t* msgs, std::size_t count,
                          Hash32* out);
+void hash_blocks_portable(const std::uint8_t* blocks, std::size_t count,
+                          Hash32* out);
 
 namespace {
 
@@ -44,11 +49,18 @@ inline __m256i rotr(__m256i x, int n) {
                          _mm256_slli_epi32(x, 32 - n));
 }
 
-inline std::uint32_t be32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
+// Big-endian word load / store as one move plus one byte swap.
+inline std::uint32_t bswap_be(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+inline int be32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return static_cast<int>(bswap_be(v));
 }
 
 /// One 64-round compression over eight lanes. `w` holds the first 16
@@ -109,6 +121,53 @@ void rounds8(__m256i s[8], __m256i w[16]) {
   s[7] = _mm256_add_epi32(s[7], h);
 }
 
+// SHA-256 of the eight one-block messages at base + 64*l, followed by
+// the constant pad block of a 64-byte message when `pad_block`.
+void hash8(const std::uint8_t* base, bool pad_block, Hash32* out) {
+  __m256i s[8];
+  for (int j = 0; j < 8; ++j) {
+    s[j] = _mm256_set1_epi32(static_cast<int>(kInit[j]));
+  }
+
+  // Transpose: word t of messages 0..7 into the lanes of w[t].
+  __m256i w[16];
+  for (int t = 0; t < 16; ++t) {
+    w[t] = _mm256_set_epi32(be32(base + 7 * 64 + 4 * t),
+                            be32(base + 6 * 64 + 4 * t),
+                            be32(base + 5 * 64 + 4 * t),
+                            be32(base + 4 * 64 + 4 * t),
+                            be32(base + 3 * 64 + 4 * t),
+                            be32(base + 2 * 64 + 4 * t),
+                            be32(base + 1 * 64 + 4 * t),
+                            be32(base + 0 * 64 + 4 * t));
+  }
+  rounds8(s, w);
+
+  if (pad_block) {
+    // Second block: the padding constants, identical in every lane
+    // (0x80 terminator then bit length 512).
+    w[0] = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+    for (int t = 1; t < 15; ++t) w[t] = _mm256_setzero_si256();
+    w[15] = _mm256_set1_epi32(512);
+    rounds8(s, w);
+  }
+
+  // Lane l of s[j] is word j of digest l; write big-endian. These
+  // stores happen only after all eight messages were read, so `out`
+  // aliasing the front of the messages (the in-place Merkle halving)
+  // is safe.
+  alignas(32) std::uint32_t lanes[8][8];
+  for (int j = 0; j < 8; ++j) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[j]), s[j]);
+  }
+  for (int l = 0; l < 8; ++l) {
+    for (int j = 0; j < 8; ++j) {
+      const std::uint32_t v = bswap_be(lanes[j][l]);
+      std::memcpy(out[l].data() + j * 4, &v, sizeof(v));
+    }
+  }
+}
+
 }  // namespace
 
 bool avx2_supported() { return __builtin_cpu_supports("avx2"); }
@@ -116,54 +175,15 @@ bool avx2_supported() { return __builtin_cpu_supports("avx2"); }
 void hash_pairs_avx2(const std::uint8_t* msgs, std::size_t count,
                      Hash32* out) {
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const std::uint8_t* base = msgs + i * 64;
-
-    __m256i s[8];
-    for (int j = 0; j < 8; ++j) {
-      s[j] = _mm256_set1_epi32(static_cast<int>(kInit[j]));
-    }
-
-    // Transpose: word t of messages 0..7 into the lanes of w[t].
-    __m256i w[16];
-    for (int t = 0; t < 16; ++t) {
-      w[t] = _mm256_set_epi32(static_cast<int>(be32(base + 7 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 6 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 5 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 4 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 3 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 2 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 1 * 64 + 4 * t)),
-                              static_cast<int>(be32(base + 0 * 64 + 4 * t)));
-    }
-    rounds8(s, w);
-
-    // Second block: the padding constants, identical in every lane
-    // (0x80 terminator then bit length 512).
-    w[0] = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-    for (int t = 1; t < 15; ++t) w[t] = _mm256_setzero_si256();
-    w[15] = _mm256_set1_epi32(512);
-    rounds8(s, w);
-
-    // Lane l of s[j] is word j of digest l; write big-endian. These
-    // stores happen only after all eight messages were read, so `out`
-    // aliasing the front of `msgs` (the in-place Merkle halving) is
-    // safe.
-    alignas(32) std::uint32_t lanes[8][8];
-    for (int j = 0; j < 8; ++j) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[j]), s[j]);
-    }
-    for (int l = 0; l < 8; ++l) {
-      for (int j = 0; j < 8; ++j) {
-        const std::uint32_t v = lanes[j][l];
-        out[i + l][j * 4 + 0] = static_cast<std::uint8_t>(v >> 24);
-        out[i + l][j * 4 + 1] = static_cast<std::uint8_t>(v >> 16);
-        out[i + l][j * 4 + 2] = static_cast<std::uint8_t>(v >> 8);
-        out[i + l][j * 4 + 3] = static_cast<std::uint8_t>(v);
-      }
-    }
-  }
+  for (; i + 8 <= count; i += 8) hash8(msgs + i * 64, true, out + i);
   if (i < count) hash_pairs_portable(msgs + i * 64, count - i, out + i);
+}
+
+void hash_blocks_avx2(const std::uint8_t* blocks, std::size_t count,
+                      Hash32* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) hash8(blocks + i * 64, false, out + i);
+  if (i < count) hash_blocks_portable(blocks + i * 64, count - i, out + i);
 }
 
 }  // namespace predis::sha256_kernels::detail

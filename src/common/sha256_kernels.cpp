@@ -5,6 +5,7 @@
 // override, and the resolved function-pointer tables.
 #include "common/sha256_kernels.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,11 +18,15 @@ void compress_sha_ni(std::uint32_t* state, const std::uint8_t* data,
                      std::size_t blocks);
 void hash_pairs_sha_ni(const std::uint8_t* msgs, std::size_t count,
                        Hash32* out);
+void hash_blocks_sha_ni(const std::uint8_t* blocks, std::size_t count,
+                        Hash32* out);
 #endif
 #if defined(PREDIS_HAVE_AVX2)
 bool avx2_supported();
 void hash_pairs_avx2(const std::uint8_t* msgs, std::size_t count,
                      Hash32* out);
+void hash_blocks_avx2(const std::uint8_t* blocks, std::size_t count,
+                      Hash32* out);
 #endif
 }  // namespace detail
 
@@ -60,11 +65,16 @@ struct PadBlock {
 };
 const PadBlock kPadBlock;
 
-void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
+// Big-endian digest store as one byte swap plus one move (GCC keeps
+// the shift-per-byte spelling as separate byte stores).
+void store_digest(const std::uint32_t* state, Hash32& out) {
+  for (int j = 0; j < 8; ++j) {
+    std::uint32_t v = state[j];
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap32(v);
+    }
+    std::memcpy(out.data() + j * 4, &v, sizeof(v));
+  }
 }
 
 }  // namespace
@@ -126,7 +136,17 @@ void hash_pairs_portable(const std::uint8_t* msgs, std::size_t count,
     std::memcpy(st, kInit, sizeof(st));
     compress_portable(st, msgs + i * 64, 1);
     compress_portable(st, kPadBlock.b, 1);
-    for (int j = 0; j < 8; ++j) store_be32(out[i].data() + j * 4, st[j]);
+    store_digest(st, out[i]);
+  }
+}
+
+void hash_blocks_portable(const std::uint8_t* blocks, std::size_t count,
+                          Hash32* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t st[8];
+    std::memcpy(st, kInit, sizeof(st));
+    compress_portable(st, blocks + i * 64, 1);
+    store_digest(st, out[i]);
   }
 }
 
@@ -137,6 +157,7 @@ namespace {
 struct KernelFns {
   CompressFn compress;
   PairBatchFn hash_pairs;
+  BlockBatchFn hash_blocks;
 };
 
 KernelFns fns_for(Kernel k) {
@@ -144,7 +165,8 @@ KernelFns fns_for(Kernel k) {
 #if defined(PREDIS_HAVE_SHA_NI)
     case Kernel::kShaNi:
       if (detail::sha_ni_supported()) {
-        return {&detail::compress_sha_ni, &detail::hash_pairs_sha_ni};
+        return {&detail::compress_sha_ni, &detail::hash_pairs_sha_ni,
+                &detail::hash_blocks_sha_ni};
       }
       break;
 #endif
@@ -153,14 +175,16 @@ KernelFns fns_for(Kernel k) {
       // No single-stream AVX2 kernel: multi-buffer parallelism needs
       // independent messages, so compress() stays portable here.
       if (detail::avx2_supported()) {
-        return {&detail::compress_portable, &detail::hash_pairs_avx2};
+        return {&detail::compress_portable, &detail::hash_pairs_avx2,
+                &detail::hash_blocks_avx2};
       }
       break;
 #endif
     default:
       break;
   }
-  return {&detail::compress_portable, &detail::hash_pairs_portable};
+  return {&detail::compress_portable, &detail::hash_pairs_portable,
+          &detail::hash_blocks_portable};
 }
 
 Kernel parse_name(const char* s) {
@@ -235,8 +259,10 @@ bool force(Kernel k) {
 
 CompressFn compress() { return dispatch().fns.compress; }
 PairBatchFn hash_pairs() { return dispatch().fns.hash_pairs; }
+BlockBatchFn hash_blocks() { return dispatch().fns.hash_blocks; }
 
 CompressFn compress(Kernel k) { return fns_for(k).compress; }
 PairBatchFn hash_pairs(Kernel k) { return fns_for(k).hash_pairs; }
+BlockBatchFn hash_blocks(Kernel k) { return fns_for(k).hash_blocks; }
 
 }  // namespace predis::sha256_kernels

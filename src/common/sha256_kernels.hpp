@@ -10,9 +10,11 @@
 //
 // Three kernels:
 //  * portable — the from-scratch FIPS 180-4 rounds (always built);
-//  * sha_ni   — single-stream SHA-NI (x86 SHA extensions), ~5-10x;
-//  * avx2     — 8-way multi-buffer for batches of independent 64-byte
-//               messages (Merkle inner levels); single-stream calls
+//  * sha_ni   — SHA-NI (x86 SHA extensions), ~5-10x: one stream for
+//               compress(), two independent messages with their
+//               instructions interleaved for the batch entries;
+//  * avx2     — 8-way multi-buffer for the batch entries (Merkle inner
+//               levels, transaction-id leaves); single-stream calls
 //               fall back to portable under this kernel.
 //
 // Selection: best available (sha_ni > avx2 > portable), overridable
@@ -44,6 +46,15 @@ using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
 using PairBatchFn = void (*)(const std::uint8_t* msgs, std::size_t count,
                              Hash32* out);
 
+/// Batch hash of independent one-block messages: out[i] = SHA-256 of
+/// the message of at most 55 bytes whose already padded 64-byte block
+/// (message, 0x80, zeros, 64-bit big-endian bit length) sits at
+/// blocks + 64*i. This is the transaction-id leaf shape: the caller
+/// writes the fixed encoding straight into padded blocks and a whole
+/// bundle's or block's leaves cost one call.
+using BlockBatchFn = void (*)(const std::uint8_t* blocks, std::size_t count,
+                              Hash32* out);
+
 /// Human-readable kernel name ("portable", "sha_ni", "avx2").
 const char* name(Kernel k);
 
@@ -61,12 +72,14 @@ bool force(Kernel k);
 /// Resolved entry points for the active kernel.
 CompressFn compress();
 PairBatchFn hash_pairs();
+BlockBatchFn hash_blocks();
 
 /// Entry points for an explicit kernel — cross-kernel bit-exactness
 /// tests and benchmark sweeps. Unavailable kernels resolve to the
 /// portable functions.
 CompressFn compress(Kernel k);
 PairBatchFn hash_pairs(Kernel k);
+BlockBatchFn hash_blocks(Kernel k);
 
 namespace detail {
 /// The portable kernels, always present (remainder path for the
@@ -75,6 +88,8 @@ void compress_portable(std::uint32_t* state, const std::uint8_t* data,
                        std::size_t blocks);
 void hash_pairs_portable(const std::uint8_t* msgs, std::size_t count,
                          Hash32* out);
+void hash_blocks_portable(const std::uint8_t* blocks, std::size_t count,
+                          Hash32* out);
 }  // namespace detail
 
 }  // namespace predis::sha256_kernels

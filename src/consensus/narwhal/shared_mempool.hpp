@@ -33,10 +33,7 @@ struct Microblock {
     Writer w;
     w.u32(producer);
     w.u64(index);
-    std::vector<Hash32> leaves;
-    leaves.reserve(txs.size());
-    for (const auto& tx : txs) leaves.push_back(tx.id());
-    w.hash(leaves.empty() ? kZeroHash : MerkleTree::root_of(leaves));
+    w.hash(tx_merkle_root(txs));
     return Sha256::hash(w.data());
   }
 

@@ -12,12 +12,7 @@ namespace predis::consensus {
 class TxBatchPayload final : public Payload {
  public:
   explicit TxBatchPayload(std::vector<Transaction> txs)
-      : txs_(std::move(txs)) {
-    std::vector<Hash32> leaves;
-    leaves.reserve(txs_.size());
-    for (const auto& tx : txs_) leaves.push_back(tx.id());
-    digest_ = leaves.empty() ? kZeroHash : MerkleTree::root_of(leaves);
-  }
+      : txs_(std::move(txs)), digest_(tx_merkle_root(txs_)) {}
 
   const std::vector<Transaction>& txs() const { return txs_; }
 

@@ -24,12 +24,7 @@ const LedgerEntry& Ledger::append_block(const Hash32& payload_digest,
   entry.height = entries_.size() + 1;
   entry.parent = head_hash();
   entry.payload_digest = payload_digest;
-  if (!txs.empty()) {
-    std::vector<Hash32> leaves;
-    leaves.reserve(txs.size());
-    for (const auto& tx : txs) leaves.push_back(tx.id());
-    entry.tx_root = MerkleTree::root_of(leaves);
-  }
+  entry.tx_root = tx_merkle_root(txs);
   entry.tx_count = txs.size();
   entry.committed_at = committed_at;
   append(entry);

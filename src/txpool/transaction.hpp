@@ -7,10 +7,13 @@
 // the optimization.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/codec.hpp"
+#include "common/merkle.hpp"
 #include "common/sha256.hpp"
 #include "common/types.hpp"
 #include "runtime/message.hpp"
@@ -28,6 +31,8 @@ struct Transaction {
   /// forward it there. kNoNode = direct submission (strategy one).
   NodeId target_consensus = kNoNode;
 
+  /// The wire format, and the byte string id() hashes (tx_ids writes
+  /// the same 36 bytes straight into a padded SHA-256 block).
   void encode(Writer& w) const {
     w.u32(client);
     w.u64(seq);
@@ -48,10 +53,55 @@ struct Transaction {
     return tx;
   }
 
-  Hash32 id() const { return hash_of(*this); }
+  /// SHA-256 of encode(): the n = 1 case of tx_ids().
+  Hash32 id() const;
 
   bool operator==(const Transaction&) const = default;
 };
+
+/// Ids of `n` transactions: out[i] = txs[i].id(). Each encode() is
+/// written little-endian straight into a pre-padded one-block SHA-256
+/// message on the stack, and every chunk of blocks is hashed in one
+/// hash_padded_blocks() call — so a bundle's or block's leaves cost
+/// one kernel call per chunk instead of one per transaction.
+void tx_ids(const Transaction* txs, std::size_t n, Hash32* out);
+
+namespace detail {
+/// This thread's reused leaf buffer, sized for `count` leaves plus the
+/// odd-level duplicate node.
+Hash32* tx_leaf_buffer(std::size_t count);
+}  // namespace detail
+
+/// Merkle root (the MerkleTree rule) over the ids of the transactions
+/// of several lists, concatenated in order, or kZeroHash when there
+/// are none: `for_each_list(add)` calls add(const
+/// std::vector<Transaction>&) once per list, and the lists hold `count`
+/// transactions in total. Leaves go through one tx_ids() call per
+/// list into a reused per-thread buffer and the levels are halved in
+/// place, so a warm pass makes no heap allocation.
+template <typename ForEachList>
+Hash32 tx_merkle_root(std::size_t count, ForEachList&& for_each_list) {
+  if (count == 0) return kZeroHash;
+  Hash32* leaves = detail::tx_leaf_buffer(count);
+  std::size_t filled = 0;
+  for_each_list([&](const std::vector<Transaction>& txs) {
+    if (txs.size() > count - filled) {
+      throw std::logic_error("tx_merkle_root: more transactions than counted");
+    }
+    tx_ids(txs.data(), txs.size(), leaves + filled);
+    filled += txs.size();
+  });
+  if (filled != count) {
+    throw std::logic_error("tx_merkle_root: fewer transactions than counted");
+  }
+  return MerkleTree::root_in_place(leaves, count);
+}
+
+/// Merkle root over the ids of one transaction list (kZeroHash when
+/// empty): the tx root of a bundle, a block, a ledger record.
+inline Hash32 tx_merkle_root(const std::vector<Transaction>& txs) {
+  return tx_merkle_root(txs.size(), [&txs](auto&& add) { add(txs); });
+}
 
 /// Sum of the simulated payload sizes of a batch of transactions.
 inline std::size_t payload_bytes(const std::vector<Transaction>& txs) {

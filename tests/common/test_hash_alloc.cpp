@@ -1,7 +1,8 @@
 // Allocation check for the transaction-path hashes: with a counting
 // global operator new, steady-state Transaction::id(),
-// BundleHeader::hash(), PredisBlock::hash() and bundle / block
-// signature verification must not touch the heap. Its own executable
+// BundleHeader::hash(), PredisBlock::hash(), bundle / block signature
+// verification and the bundle / block transaction roots must not
+// touch the heap. Its own executable
 // because replacing operator new is program-wide.
 #include <gtest/gtest.h>
 
@@ -94,6 +95,37 @@ TEST(HashAlloc, PredisBlockHashAndVerifyAllocateNothing) {
             }),
             0u);
   EXPECT_TRUE(ok);
+}
+
+TEST(HashAlloc, BundleAndBlockTxRootsAllocateNothing) {
+  // Two 50-tx bundles per chain on four chains: the block root hashes
+  // 400 leaves from eight bundles through one shared leaf array.
+  constexpr std::size_t kN = 4;
+  std::vector<PublicKey> keys;
+  for (std::size_t i = 0; i < kN; ++i) {
+    keys.push_back(KeyPair::from_seed(i).public_key());
+  }
+  Mempool mempool(kN, keys);
+  for (std::size_t p = 0; p < kN; ++p) {
+    Hash32 parent = kZeroHash;
+    for (BundleHeight h = 1; h <= 2; ++h) {
+      const Bundle b = make_bundle(static_cast<NodeId>(p), h, parent,
+                                   std::vector<BundleHeight>(kN, 0),
+                                   make_txs(50), KeyPair::from_seed(p));
+      parent = b.header.hash();
+      ASSERT_EQ(mempool.add(b), AddBundleResult::kAdded);
+    }
+  }
+  const std::vector<BundleHeight> prev(kN, 0);
+  const std::vector<BundleHeight> cut(kN, 2);
+  const auto txs = make_txs(435);
+  Hash32 sink{};
+  EXPECT_EQ(allocations_in([&] { sink[0] ^= Bundle::tx_root_of(txs)[0]; }),
+            0u);
+  EXPECT_EQ(allocations_in([&] {
+              sink[0] ^= compute_block_tx_root(mempool, prev, cut)[0];
+            }),
+            0u);
 }
 
 }  // namespace

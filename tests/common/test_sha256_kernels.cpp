@@ -47,6 +47,7 @@ TEST(Sha256Kernels, UnavailableKernelsResolveToPortable) {
     if (sk::available(k)) continue;
     EXPECT_EQ(sk::compress(k), sk::compress(sk::Kernel::kPortable));
     EXPECT_EQ(sk::hash_pairs(k), sk::hash_pairs(sk::Kernel::kPortable));
+    EXPECT_EQ(sk::hash_blocks(k), sk::hash_blocks(sk::Kernel::kPortable));
     EXPECT_FALSE(sk::force(k));
   }
 }
@@ -79,10 +80,9 @@ TEST(Sha256Kernels, CompressMatchesPortableAcrossBlockCountsAndAlignments) {
 
 TEST(Sha256Kernels, HashPairsMatchesPortableAcrossBatchSizes) {
   Rng rng(0xabcdULL);
-  // Cover the AVX2 8-lane boundary and its scalar remainder path.
-  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                            std::size_t{7}, std::size_t{8}, std::size_t{9},
-                            std::size_t{16}, std::size_t{33}}) {
+  // Every count from 0 to 40: the two-stream SHA-NI odd remainder and
+  // every AVX2 eight-lane remainder.
+  for (std::size_t count = 0; count <= 40; ++count) {
     std::vector<std::uint8_t> msgs(count * 64 + 1);
     for (auto& b : msgs) b = static_cast<std::uint8_t>(rng.next());
     std::vector<Hash32> want(count + 1);
@@ -134,6 +134,60 @@ TEST(Sha256Kernels, HashPairsSupportsAliasedOutput) {
           << sk::name(k) << " pair " << i;
     }
   }
+}
+
+TEST(Sha256Kernels, HashBlocksMatchesPortableAcrossBatchSizes) {
+  // Every count from 0 to 40: the two-stream SHA-NI odd remainder and
+  // every AVX2 eight-lane remainder.
+  Rng rng(0xb10cULL);
+  for (std::size_t count = 0; count <= 40; ++count) {
+    std::vector<std::uint8_t> blocks(count * 64 + 1);
+    for (auto& b : blocks) b = static_cast<std::uint8_t>(rng.next());
+    std::vector<Hash32> want(count);
+    sk::detail::hash_blocks_portable(blocks.data(), count, want.data());
+    for (sk::Kernel k : kAll) {
+      if (!sk::available(k)) continue;
+      std::vector<Hash32> got(count + 1, kZeroHash);
+      sk::hash_blocks(k)(blocks.data(), count, got.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << sk::name(k) << " block " << i << " of " << count;
+      }
+      EXPECT_EQ(got[count], kZeroHash) << sk::name(k) << " count=" << count;
+    }
+  }
+}
+
+TEST(Sha256Kernels, HashBlocksMatchesOneShotOfPaddedMessages) {
+  // A padded block of an L-byte message (L <= 55) hashes to SHA-256 of
+  // the message, under every kernel and through hash_padded_blocks().
+  Rng rng(0x9adULL);
+  constexpr std::size_t kMaxLen = 55;
+  std::vector<std::uint8_t> blocks((kMaxLen + 1) * 64, 0);
+  std::vector<Hash32> want(kMaxLen + 1);
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    std::uint8_t* b = blocks.data() + len * 64;
+    for (std::size_t i = 0; i < len; ++i) {
+      b[i] = static_cast<std::uint8_t>(rng.next());
+    }
+    b[len] = 0x80;
+    const std::uint64_t bits = len * 8;
+    for (int i = 0; i < 8; ++i) {
+      b[63 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+    want[len] = Sha256::hash(BytesView{b, len});
+  }
+  for (sk::Kernel k : kAll) {
+    if (!sk::available(k)) continue;
+    std::vector<Hash32> got(kMaxLen + 1);
+    sk::hash_blocks(k)(blocks.data(), got.size(), got.data());
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(got[len], want[len]) << sk::name(k) << " len=" << len;
+    }
+  }
+  std::vector<Hash32> got(kMaxLen + 1);
+  hash_padded_blocks(blocks.data(), got.size(), got.data());
+  EXPECT_EQ(got, want);
 }
 
 TEST(Sha256Kernels, NistVectorsUnderEveryKernel) {

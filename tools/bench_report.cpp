@@ -336,6 +336,20 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
   entries.push_back({"tx_id", 0, [&] {
                        benchmark_sink(txs[7].id()[0]);
                      }});
+  // One P-PBFT block's leaves (435 transactions) through one batched
+  // tx_ids() call; compare with 435 x tx_id.
+  std::vector<predis::Transaction> block_txs(435);
+  for (std::size_t i = 0; i < block_txs.size(); ++i) {
+    block_txs[i].client = static_cast<predis::NodeId>(i % 4);
+    block_txs[i].seq = i;
+    block_txs[i].payload_seed = i * 0x9e37;
+  }
+  std::vector<Hash32> block_ids(block_txs.size());
+  entries.push_back({"tx_ids/435", 0, [&] {
+                       predis::tx_ids(block_txs.data(), block_txs.size(),
+                                      block_ids.data());
+                       benchmark_sink(block_ids[434][0]);
+                     }});
   entries.push_back({"bundle_header_hash", 0, [&] {
                        benchmark_sink(bundle.header.hash()[0]);
                      }});
@@ -349,22 +363,24 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
                        benchmark_sink(arena.stripes.back().data.back());
                      }});
 
-  // Crypto-kernel sweep: the single-stream and pair-batch shapes timed
-  // through every compiled-in + CPU-supported kernel, so the report
-  // records the dispatch win on this machine. Note the avx2 kernel is
-  // multi-buffer only — its single-stream compress resolves to the
-  // portable rounds by design, and the sweep shows exactly that.
+  // Crypto-kernel sweep: the single-stream, pair-batch and block-batch
+  // shapes timed through every compiled-in + CPU-supported kernel, so
+  // the report records the dispatch win on this machine. Note the avx2
+  // kernel is multi-buffer only — its single-stream compress resolves to
+  // the portable rounds by design, and the sweep shows exactly that.
   constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                     0xa54ff53a, 0x510e527f, 0x9b05688c,
                                     0x1f83d9ab, 0x5be0cd19};
   const Bytes stream = random_bytes(400 * 64, 43);  // 25.6 KB, 400 blocks
   const Bytes pair_msgs = random_bytes(512 * 64, 44);
   static std::vector<Hash32> pair_out(512);
+  const Bytes block_msgs = random_bytes(512 * 64, 45);
   for (sk::Kernel k :
        {sk::Kernel::kPortable, sk::Kernel::kShaNi, sk::Kernel::kAvx2}) {
     if (!sk::available(k)) continue;
     const sk::CompressFn compress = sk::compress(k);
     const sk::PairBatchFn pairs = sk::hash_pairs(k);
+    const sk::BlockBatchFn blocks = sk::hash_blocks(k);
     entries.push_back({std::string("sha256_compress/25600/") + sk::name(k),
                        400 * 64, [compress, &stream, &kIv] {
                          std::uint32_t st[8];
@@ -375,6 +391,11 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
     entries.push_back({std::string("sha256_hash_pairs/512/") + sk::name(k),
                        512 * 64, [pairs, &pair_msgs] {
                          pairs(pair_msgs.data(), 512, pair_out.data());
+                         benchmark_sink(pair_out[0][0]);
+                       }});
+    entries.push_back({std::string("sha256_hash_blocks/512/") + sk::name(k),
+                       512 * 64, [blocks, &block_msgs] {
+                         blocks(block_msgs.data(), 512, pair_out.data());
                          benchmark_sink(pair_out[0][0]);
                        }});
   }
