@@ -21,6 +21,12 @@
 
 namespace predis {
 
+/// Why a producer refused a client batch at its front door.
+enum class ShedReason {
+  kUplinkBacklog,   ///< The node's uplink queue reached too far ahead.
+  kUnconfirmedCap,  ///< Admitted-but-unconfirmed transactions at the cap.
+};
+
 class Metrics {
  public:
   /// A block/batch committed at `when` carrying `tx_count` transactions.
@@ -43,6 +49,12 @@ class Metrics {
     submitted_txs_ += n;
   }
 
+  /// Client transactions a producer shed at admission, by reason.
+  void record_shed(ShedReason reason, std::size_t n) {
+    std::lock_guard<std::mutex> lock(m_);
+    shed_txs_[static_cast<std::size_t>(reason)] += n;
+  }
+
   /// Aggregate wire bytes (all nodes; dissemination + consensus).
   void record_bytes_sent(std::uint64_t n) {
     std::lock_guard<std::mutex> lock(m_);
@@ -60,6 +72,10 @@ class Metrics {
   std::uint64_t submitted_txs() const {
     std::lock_guard<std::mutex> lock(m_);
     return submitted_txs_;
+  }
+  std::uint64_t shed_txs(ShedReason reason) const {
+    std::lock_guard<std::mutex> lock(m_);
+    return shed_txs_[static_cast<std::size_t>(reason)];
   }
   std::uint64_t bytes_sent() const {
     std::lock_guard<std::mutex> lock(m_);
@@ -108,6 +124,7 @@ class Metrics {
   std::uint64_t submitted_txs_ PREDIS_GUARDED_BY(m_) = 0;
   std::uint64_t bytes_sent_ PREDIS_GUARDED_BY(m_) = 0;
   std::uint64_t bytes_received_ PREDIS_GUARDED_BY(m_) = 0;
+  std::uint64_t shed_txs_[2] PREDIS_GUARDED_BY(m_) = {0, 0};
 };
 
 }  // namespace predis

@@ -115,6 +115,60 @@ class NodeContext {
   ConsensusConfig cfg_;
 };
 
+/// Most client transactions a shared-mempool producer may hold admitted
+/// but not yet confirmed: its ingress queue plus its own bundles or
+/// microblocks that consensus has not confirmed yet.
+inline constexpr std::size_t kUnconfirmedTxCap = 4000;
+
+/// Front-door admission shared by the shared-mempool producers (Predis
+/// bundles, Narwhal/Stratus microblocks). A client batch is shed when
+/// either rule fires:
+///   1. uplink backlog — the node's uplink queue already reaches more
+///      than `max_backlog` into the future (the TCP push-back analogue);
+///   2. unconfirmed cap — the transactions this node admitted that
+///      consensus has not confirmed yet reach `cap`.
+/// Rule 2 bounds a producer by what its consensus can confirm. Eager
+/// packing keeps the ingress queue below one bundle, so a cap on the
+/// queue alone never binds; past the knee the producer then bundles
+/// load nobody will cut for seconds, and those bundles crowd votes off
+/// the shared downlinks until commits collapse. The owner supplies the
+/// unconfirmed count on every call, read off its own chain or pool.
+class AdmissionBudget {
+ public:
+  explicit AdmissionBudget(SimTime max_backlog,
+                           std::size_t cap = kUnconfirmedTxCap)
+      : max_backlog_(max_backlog), cap_(cap) {}
+
+  /// Shed counts go to `metrics` (may be null).
+  void set_metrics(Metrics* metrics) { metrics_ = metrics; }
+
+  /// Does a node holding `unconfirmed` admitted transactions have no
+  /// room for more?
+  bool at_cap(std::size_t unconfirmed) const { return unconfirmed >= cap_; }
+
+  /// May a client batch of `n` transactions enter a node that holds
+  /// `unconfirmed` admitted-but-unconfirmed ones? A refused batch is
+  /// counted by reason.
+  bool admit(const NodeContext& ctx, std::size_t unconfirmed,
+             std::size_t n) const {
+    if (ctx.net().uplink_backlog(ctx.self()) > max_backlog_) {
+      return shed(ShedReason::kUplinkBacklog, n);
+    }
+    if (at_cap(unconfirmed)) return shed(ShedReason::kUnconfirmedCap, n);
+    return true;
+  }
+
+ private:
+  bool shed(ShedReason reason, std::size_t n) const {
+    if (metrics_ != nullptr) metrics_->record_shed(reason, n);
+    return false;
+  }
+
+  SimTime max_backlog_;
+  std::size_t cap_;
+  Metrics* metrics_ = nullptr;
+};
+
 /// Size constants for simulated signatures/certificates on the wire.
 inline constexpr std::size_t kSigBytes = 64;
 inline constexpr std::size_t kVoteBytes = 32 + kSigBytes + 16;

@@ -22,6 +22,7 @@ SharedMempoolNode::SharedMempoolNode(NodeContext ctx,
   // retriers (the post-heal pull storm) across the window.
   fetch_backoff_.base = milliseconds(25);
   fetch_backoff_.cap = std::max<SimTime>(cfg_.fetch_retry, milliseconds(400));
+  admission_.set_metrics(&ledger_.metrics());
 }
 
 void SharedMempoolNode::on_start() {
@@ -35,13 +36,7 @@ void SharedMempoolNode::on_restart() {
   // … and mempool-side resync: re-offer own microblocks whose original
   // broadcast (or its acks) may have been lost while down, and kick the
   // fetch loop for any bodies still outstanding.
-  for (const auto& [key, mb] : pool_) {
-    if (key.first != ctx_.index()) continue;
-    if (certified_.count(key) != 0) continue;
-    auto msg = std::make_shared<MicroblockMsg>();
-    msg->mb = mb;
-    ctx_.broadcast(msg);
-  }
+  reoffer_uncertified(own_index_);
   // A pre-outage retry timer still armed at the old backoff cadence
   // would keep scheduled() true and block the fast first retry the
   // reset of fetch_attempt_ is meant to buy; drop it.
@@ -55,14 +50,40 @@ void SharedMempoolNode::schedule_packing() {
   // handle to keep — the chain dies with the node.
   PREDIS_FIRE_AND_FORGET(ctx_.after(cfg_.pack_interval, [this] {
     pack_microblock();
+    reoffer_stale();
     schedule_packing();
   }));
 }
 
+void SharedMempoolNode::reoffer_stale() {
+  // At the cap nothing is admitted until own microblocks commit, and an
+  // own microblock whose broadcast or acks were lost (a partition, a
+  // drop window) is never certified, so never proposed: without a
+  // re-offer the cap would stay full for good.
+  if (!admission_.at_cap(tx_queue_.size() + own_uncommitted_txs_)) return;
+  if (ctx_.now() < next_reoffer_) return;
+  reoffer_uncertified(reoffer_below_);
+  reoffer_below_ = own_index_;
+  next_reoffer_ = ctx_.now() + kReofferInterval;
+}
+
+void SharedMempoolNode::reoffer_uncertified(std::uint64_t below_index) {
+  const NodeId self = static_cast<NodeId>(ctx_.index());
+  for (auto it = pool_.lower_bound(Key{self, 0});
+       it != pool_.end() && it->first < Key{self, below_index}; ++it) {
+    if (certified_.count(it->first) != 0) continue;
+    auto msg = std::make_shared<MicroblockMsg>();
+    msg->mb = it->second;
+    ctx_.broadcast(msg);
+  }
+}
+
 void SharedMempoolNode::enqueue(const std::vector<Transaction>& txs) {
-  // Backpressure: shed client load once the uplink queue is far behind.
-  if (ctx_.net().uplink_backlog(ctx_.self()) > milliseconds(400)) return;
-  if (tx_queue_.size() >= 4000) return;
+  // Backpressure: shed client load the node cannot send or confirm.
+  if (!admission_.admit(ctx_, tx_queue_.size() + own_uncommitted_txs_,
+                        txs.size())) {
+    return;
+  }
   tx_queue_.insert(tx_queue_.end(), txs.begin(), txs.end());
   while (tx_queue_.size() >= cfg_.microblock_size) pack_microblock();
 }
@@ -81,6 +102,7 @@ void SharedMempoolNode::pack_microblock() {
                   tx_queue_.begin() + static_cast<std::ptrdiff_t>(take));
 
   pool_.emplace(Key{mb.producer, mb.index}, mb);
+  own_uncommitted_txs_ += take;
   acks_[Key{mb.producer, mb.index}].insert(ctx_.index());  // self-ack
   if (tracer_ != nullptr) {
     tracer_->record(TraceStage::kBundleProduced, mb.id(), ctx_.now());
@@ -111,15 +133,16 @@ bool SharedMempoolNode::handle_mempool(NodeId from, const runtime::MsgPtr& msg) 
       return true;
     }
     const Key key{m->mb.producer, m->mb.index};
-    if (pool_.count(key) == 0) {
-      pool_.emplace(key, m->mb);
-      fetching_.erase(key);
-      // Availability ack back to the producer (RBC / PAB reply).
-      auto ack = std::make_shared<MbAckMsg>();
-      ack->ref = {m->mb.producer, m->mb.index, m->mb.id()};
-      ctx_.send_to(m->mb.producer, std::move(ack));
-      core_.revalidate();
-    }
+    const auto [it, fresh] = pool_.try_emplace(key, m->mb);
+    if (fresh) fetching_.erase(key);
+    // Availability ack back to the producer (RBC / PAB reply) for the
+    // body we hold. A producer offers a body again only while it lacks
+    // a certificate for it, so the first ack may have been lost: ack a
+    // duplicate too.
+    auto ack = std::make_shared<MbAckMsg>();
+    ack->ref = {key.first, key.second, it->second.id()};
+    ctx_.send_to(key.first, std::move(ack));
+    if (fresh) core_.revalidate();
     return true;
   }
   if (const auto* m = dynamic_cast<const MbAckMsg*>(msg.get())) {
@@ -301,11 +324,13 @@ void SharedMempoolNode::on_commit(hotstuff::Round round,
   const auto& ids = dynamic_cast<const IdListPayload&>(*payload);
   std::vector<Transaction> txs;
   for (const auto& ref : ids.refs()) {
-    if (committed_.insert(ref.key()).second) {
-      committed_order_.push_back(ref.key());
-    }
+    const bool first = committed_.insert(ref.key()).second;
+    if (first) committed_order_.push_back(ref.key());
     const auto it = pool_.find(ref.key());
     if (it == pool_.end()) continue;  // certified elsewhere; body lagging
+    if (first && ref.producer == ctx_.index()) {
+      own_uncommitted_txs_ -= it->second.txs.size();
+    }
     txs.insert(txs.end(), it->second.txs.begin(), it->second.txs.end());
   }
   // Pool GC: committed bodies stay briefly to serve catch-up fetches

@@ -140,6 +140,10 @@ class SharedMempoolNode final : public runtime::Actor,
 
   hotstuff::HotStuffCore& core() { return core_; }
 
+  /// Transactions in this node's own microblocks not yet committed
+  /// (what admission counts besides the ingress queue).
+  std::size_t unconfirmed_txs() const { return own_uncommitted_txs_; }
+
   /// Committed-microblock bytes/items reclaimed from the pool.
   const core::GcStats& gc_stats() const { return gc_; }
 
@@ -162,6 +166,8 @@ class SharedMempoolNode final : public runtime::Actor,
   void enqueue(const std::vector<Transaction>& txs);
   void pack_microblock();
   void schedule_packing();
+  void reoffer_stale();
+  void reoffer_uncertified(std::uint64_t below_index);
   bool handle_mempool(NodeId from, const runtime::MsgPtr& msg);
   void certify(const MicroblockRef& ref, std::size_t signers);
 
@@ -182,6 +188,15 @@ class SharedMempoolNode final : public runtime::Actor,
 
   std::deque<Transaction> tx_queue_;
   std::uint64_t own_index_ = 0;
+  // Sheds past 400 ms of uplink backlog or at kUnconfirmedTxCap.
+  AdmissionBudget admission_{milliseconds(400)};
+  std::size_t own_uncommitted_txs_ = 0;
+  // A producer at its cap re-offers, once per kReofferInterval, its
+  // uncertified microblocks below the index it had reached at the
+  // previous re-offer (so each is at least one interval old).
+  static constexpr SimTime kReofferInterval = seconds(1);
+  std::uint64_t reoffer_below_ = 0;
+  SimTime next_reoffer_ = 0;
 
   std::map<Key, Microblock> pool_;
   std::map<Key, std::set<std::size_t>> acks_;  ///< producer-side ack sets

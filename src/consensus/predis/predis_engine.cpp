@@ -17,6 +17,13 @@ PredisEngine::PredisEngine(NodeContext& ctx, PredisConfig config,
       mempool_(ctx.n(), std::move(keys)),
       own_key_(std::move(own_key)),
       rng_(config.seed ^ (0x9e3779b9ULL * (ctx.index() + 1))),
+      // A Fig. 6 faulty node runs with its consensus core paused, so it
+      // never sees its own bundles confirmed; only the uplink rule binds
+      // it, and it keeps producing at the honest rate as the paper's
+      // fault cases assume.
+      admission_(config.backpressure, config.fault == FaultMode::kNone
+                                          ? kUnconfirmedTxCap
+                                          : static_cast<std::size_t>(-1)),
       last_cut_(ctx.n(), 0),
       fetch_peer_(ctx.n(), ctx.index()) {
   mempool_.set_gc_retention(cfg_.gc_retention);
@@ -87,11 +94,12 @@ void PredisEngine::schedule_production() {
 
 void PredisEngine::enqueue(const std::vector<Transaction>& txs) {
   if (cfg_.fault == FaultMode::kSilent) return;
-  // Backpressure: when the uplink is already far behind, shed incoming
-  // client load (the simulated analogue of TCP push-back) so the node
-  // saturates gracefully instead of queueing unboundedly.
-  if (ctx_.net().uplink_backlog(ctx_.self()) > cfg_.backpressure) return;
-  if (tx_queue_.size() >= cfg_.max_tx_queue) return;
+  // Backpressure: shed client load the node cannot send or confirm, so
+  // it saturates gracefully instead of queueing unboundedly.
+  if (!admission_.admit(ctx_, tx_queue_.size() + unconfirmed_txs(),
+                        txs.size())) {
+    return;
+  }
   tx_queue_.insert(tx_queue_.end(), txs.begin(), txs.end());
   tx_enqueue_times_.insert(tx_enqueue_times_.end(), txs.size(), ctx_.now());
   // Pack eagerly once a full bundle's worth is waiting.
@@ -494,6 +502,19 @@ void PredisEngine::fast_forward(const std::vector<BundleHeight>& cut,
   deferred_commits_.erase(deferred_commits_.begin(),
                           deferred_commits_.upper_bound(upto_slot));
   flush_deferred();
+}
+
+std::size_t PredisEngine::unconfirmed_txs() const {
+  // A walk over at most kUnconfirmedTxCap / bundle_size own bundles;
+  // heights whose bundle the mempool rejected or a rejoin erased hold
+  // nothing.
+  const BundleChain& own = mempool_.chain(ctx_.index());
+  std::size_t txs = 0;
+  for (BundleHeight h = mempool_.confirmed()[ctx_.index()] + 1;
+       h <= own_height_; ++h) {
+    if (const Bundle* b = own.get(h)) txs += b->txs.size();
+  }
+  return txs;
 }
 
 void PredisEngine::flush_deferred() {

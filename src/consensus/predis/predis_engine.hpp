@@ -54,14 +54,13 @@ struct PredisConfig {
   /// ("optimistic", forces fetches).
   std::size_t cut_f_override = static_cast<std::size_t>(-1);
   /// Shed client transactions once the uplink queue extends this far
-  /// into the future (graceful saturation).
+  /// into the future (graceful saturation). Admission also sheds at
+  /// kUnconfirmedTxCap admitted-but-unconfirmed transactions
+  /// (AdmissionBudget, consensus/common.hpp).
   SimTime backpressure = milliseconds(150);
   /// §III-E: how long an equivocating producer stays banned before it
   /// may rejoin with a new genesis bundle. 0 = banned forever.
   SimTime ban_duration = 0;
-  /// Also shed when this many transactions already await bundling, so
-  /// client-observed latency stays bounded at saturation.
-  std::size_t max_tx_queue = 4000;
   FaultMode fault = FaultMode::kNone;
   std::uint64_t seed = 1;
 };
@@ -175,6 +174,13 @@ class PredisEngine {
   /// Number of transactions waiting to be packed into bundles.
   std::size_t queue_depth() const { return tx_queue_.size(); }
 
+  /// Shed counts of the front-door admission go to `metrics`.
+  void set_metrics(Metrics* metrics) { admission_.set_metrics(metrics); }
+
+  /// Transactions in this node's own bundles above its confirmed cut
+  /// (what admission counts besides the ingress queue).
+  std::size_t unconfirmed_txs() const;
+
   /// Callback used by commit execution to deliver replies + metrics.
   std::function<void(std::uint64_t slot, const PredisBlock&,
                      const std::vector<Transaction>&)>
@@ -203,6 +209,7 @@ class PredisEngine {
   // Enqueue time of each waiting transaction (parallel to tx_queue_);
   // feeds the tracer's tx-enqueued stage.
   std::deque<SimTime> tx_enqueue_times_;
+  AdmissionBudget admission_;
   BundleHeight own_height_ = 0;
   Hash32 own_parent_hash_ = kZeroHash;
 

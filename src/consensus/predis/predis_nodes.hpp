@@ -22,6 +22,7 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
         engine_(ctx_, config, std::move(keys), std::move(own_key)),
         core_(ctx_, *this),
         committed_cut_(ctx_.n(), 0) {
+    engine_.set_metrics(&ledger_.metrics());
     engine_.on_mempool_grew = [this] {
       core_.payload_ready();
       core_.revalidate(core_.last_executed() + 1);
@@ -164,6 +165,7 @@ class PredisHotStuffNode final : public runtime::Actor,
         engine_(ctx_, config, std::move(keys), std::move(own_key)),
         core_(ctx_, *this),
         committed_cut_(ctx_.n(), 0) {
+    engine_.set_metrics(&ledger_.metrics());
     engine_.on_mempool_grew = [this] {
       core_.payload_ready();
       core_.revalidate();

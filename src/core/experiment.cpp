@@ -211,6 +211,8 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   result.committed_txs = metrics.committed_txs();
   result.submitted_txs = metrics.submitted_txs();
   result.commit_events = metrics.commit_events();
+  result.shed_uplink_txs = metrics.shed_txs(ShedReason::kUplinkBacklog);
+  result.shed_unconfirmed_txs = metrics.shed_txs(ShedReason::kUnconfirmedCap);
   result.consistent = ledger.consistent();
 
   result.ledger_blocks_min = ledgers.empty() ? 0 : ledgers[0].size();

@@ -83,6 +83,11 @@ struct ClusterResult {
   std::uint64_t committed_txs = 0;
   std::uint64_t submitted_txs = 0;
   std::size_t commit_events = 0;  ///< Blocks/batches decided.
+  /// Client transactions the shared-mempool producers (P-PBFT, P-HS,
+  /// Narwhal, Stratus) shed at admission: uplink backlog past its limit,
+  /// or admitted-but-unconfirmed transactions at the cap.
+  std::uint64_t shed_uplink_txs = 0;
+  std::uint64_t shed_unconfirmed_txs = 0;
   bool consistent = true;         ///< No two nodes decided differently.
   /// Per-node hash-chained ledgers agreed on every common height.
   bool ledgers_consistent = true;

@@ -120,7 +120,8 @@ int run_cluster_cmd(const Args& args) {
         "\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,"
         "\"p99_latency_ms\":%s,\"committed_txs\":%llu,"
         "\"blocks\":%zu,\"consistent\":%s,\"ledgers_consistent\":%s,"
-        "\"consensus_uplink_mbps\":%.2f}\n",
+        "\"consensus_uplink_mbps\":%.2f,\"shed_uplink_txs\":%llu,"
+        "\"shed_unconfirmed_txs\":%llu}\n",
         core::to_string(cfg.protocol), cfg.n_consensus,
         cfg.wan ? "true" : "false", cfg.offered_load_tps, r.throughput_tps,
         json_ms(r.avg_latency_ms, r.latency_samples).c_str(),
@@ -128,7 +129,9 @@ int run_cluster_cmd(const Args& args) {
         json_ms(r.p99_latency_ms, r.latency_samples).c_str(),
         static_cast<unsigned long long>(r.committed_txs), r.commit_events,
         r.consistent ? "true" : "false",
-        r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps);
+        r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps,
+        static_cast<unsigned long long>(r.shed_uplink_txs),
+        static_cast<unsigned long long>(r.shed_unconfirmed_txs));
   } else {
     std::printf("protocol      : %s (%zu nodes, %s)\n",
                 core::to_string(cfg.protocol), cfg.n_consensus,
@@ -145,6 +148,10 @@ int run_cluster_cmd(const Args& args) {
                 static_cast<unsigned long long>(r.committed_txs));
     std::printf("uplink        : %.1f Mbps avg per consensus node\n",
                 r.consensus_uplink_mbps);
+    std::printf("shed          : %llu txs on uplink backlog, %llu at the "
+                "unconfirmed cap\n",
+                static_cast<unsigned long long>(r.shed_uplink_txs),
+                static_cast<unsigned long long>(r.shed_unconfirmed_txs));
     std::printf("safety        : commits %s, ledgers %s\n",
                 r.consistent ? "consistent" : "INCONSISTENT",
                 r.ledgers_consistent ? "consistent" : "INCONSISTENT");
