@@ -70,9 +70,9 @@ Mempool::Mempool(std::size_t n_chains, std::vector<PublicKey> producer_keys)
 
 AddBundleResult Mempool::add(const Bundle& bundle,
                              ConflictEvidence* evidence,
-                             bool signature_verified) {
+                             VerifiedChecks verified) {
   const AddBundleResult result =
-      validate_and_insert(bundle, evidence, signature_verified);
+      validate_and_insert(bundle, evidence, verified);
   if (result == AddBundleResult::kAdded) {
     retry_pending(bundle.header.producer);
   }
@@ -81,7 +81,7 @@ AddBundleResult Mempool::add(const Bundle& bundle,
 
 AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
                                              ConflictEvidence* evidence,
-                                             bool signature_verified) {
+                                             VerifiedChecks verified) {
   const BundleHeader& h = bundle.header;
   if (h.producer >= chains_.size() || h.height == 0 ||
       h.tip_list.size() != chains_.size()) {
@@ -105,12 +105,13 @@ AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
   }
 
   // Rule: signature must verify (producers cannot be impersonated).
-  if (!signature_verified && !verify_bundle_signature(h, keys_[h.producer])) {
+  if (!verified.signature &&
+      !verify_bundle_signature(h, keys_[h.producer])) {
     return AddBundleResult::kBadSignature;
   }
 
   // Rule 2: transactions valid — here, the Merkle root must match.
-  if (Bundle::tx_root_of(bundle.txs) != h.tx_root) {
+  if (!verified.tx_root && Bundle::tx_root_of(bundle.txs) != h.tx_root) {
     return AddBundleResult::kBadTxRoot;
   }
 
@@ -170,10 +171,11 @@ void Mempool::retry_pending(std::size_t chain_index) {
     if (it == waiting.end()) break;
     Bundle b = std::move(it->second);
     waiting.erase(it);
-    // Buffered bundles passed the signature check before they were
-    // parked (buffering happens after the rule checks), so the retry
+    // Buffered bundles passed the signature and root checks before
+    // they were parked (buffering happens after both), so the retry
     // skips the recomputation.
-    if (validate_and_insert(b, nullptr, /*signature_verified=*/true) !=
+    if (validate_and_insert(b, nullptr,
+                            {.signature = true, .tx_root = true}) !=
         AddBundleResult::kAdded) {
       break;
     }

@@ -34,6 +34,15 @@ enum class AddBundleResult {
 
 const char* to_string(AddBundleResult r);
 
+/// Checks the caller of Mempool::add already ran on this exact bundle;
+/// each flag skips only its own rule. Set a flag only for a check that
+/// actually ran — the two are separate so that a batch-verified
+/// signature never vouches for a transaction root, or the reverse.
+struct VerifiedChecks {
+  bool signature = false;  ///< Header signature (e.g. the batch verifier).
+  bool tx_root = false;    ///< header.tx_root == Bundle::tx_root_of(txs).
+};
+
 /// Per-producer chain of validated bundles.
 class BundleChain {
  public:
@@ -75,14 +84,14 @@ class Mempool {
 
   /// Validate a bundle against rules 1-4 of §III-A and store it.
   /// On kConflict, `evidence` (if non-null) receives the conflicting
-  /// pair and the producer is added to the ban list.
-  /// `signature_verified` skips the per-bundle signature check for
-  /// callers that already ran the batch verifier over the whole
-  /// incoming run (BundleBatch replies) — never pass true for a
-  /// signature that was not actually checked.
+  /// pair and the producer is added to the ban list. `verified` skips
+  /// the checks the caller already ran: a BundleBatch reply's
+  /// batch-verified signatures, a producer's root over the
+  /// transactions it just packed. Ban, duplicate, conflict, parent and
+  /// tip rules always run.
   AddBundleResult add(const Bundle& bundle,
                       ConflictEvidence* evidence = nullptr,
-                      bool signature_verified = false);
+                      VerifiedChecks verified = {});
 
   const BundleChain& chain(std::size_t i) const { return chains_[i]; }
 
@@ -152,7 +161,7 @@ class Mempool {
  private:
   AddBundleResult validate_and_insert(const Bundle& bundle,
                                       ConflictEvidence* evidence,
-                                      bool signature_verified);
+                                      VerifiedChecks verified);
   void retry_pending(std::size_t chain_index);
 
   std::vector<BundleChain> chains_;

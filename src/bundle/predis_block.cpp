@@ -1,5 +1,6 @@
 #include "bundle/predis_block.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -182,15 +183,7 @@ BlockVerifyResult verify_predis_block(const Mempool& mempool,
   // Check 2 (conflict part): our bundle at the cut must hash to the
   // value in the block — otherwise the leader or the producer
   // equivocated (Theorem 3.1 pins the whole prefix).
-  std::size_t header_index = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (block.cut_heights[i] == block.prev_heights[i]) continue;
-    const Hash32& expected = block.header_hashes[header_index++];
-    const Bundle* local = mempool.chain(i).get(block.cut_heights[i]);
-    if (local == nullptr || local->header.hash() != expected) {
-      return BlockVerifyResult::kConflict;
-    }
-  }
+  if (!cut_tips_match(mempool, block)) return BlockVerifyResult::kConflict;
 
   // Check 4: recompute the Merkle root.
   if (compute_block_tx_root(mempool, block.prev_heights,
@@ -198,6 +191,26 @@ BlockVerifyResult verify_predis_block(const Mempool& mempool,
     return BlockVerifyResult::kBadTxRoot;
   }
   return BlockVerifyResult::kOk;
+}
+
+bool cut_tips_match(const Mempool& mempool, const PredisBlock& block) {
+  const std::size_t n = std::min({block.cut_heights.size(),
+                                  block.prev_heights.size(),
+                                  mempool.chain_count()});
+  std::size_t header_index = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (block.cut_heights[i] == block.prev_heights[i]) continue;
+    if (header_index == block.header_hashes.size()) return false;
+    const Hash32& expected = block.header_hashes[header_index++];
+    const Bundle* local = mempool.chain(i).get(block.cut_heights[i]);
+    if (local == nullptr || local->header.hash() != expected) return false;
+  }
+  return header_index == block.header_hashes.size();
+}
+
+Hash32 executed_tx_root(const Mempool& mempool, const PredisBlock& block,
+                        const std::vector<Transaction>& txs) {
+  return cut_tips_match(mempool, block) ? block.tx_root : tx_merkle_root(txs);
 }
 
 namespace {

@@ -87,6 +87,21 @@ BlockVerifyResult verify_predis_block(
     const PublicKey& leader_key,
     std::vector<MissingBundleRef>* missing = nullptr);
 
+/// Check 2's conflict part: for every chain the block advances, the
+/// local bundle at the cut height exists and hashes to the block's
+/// header hash. In-cut bundles are parent-hash-linked, so matching tips
+/// pin the whole newly-confirmed prefix (Theorem 3.1).
+bool cut_tips_match(const Mempool& mempool, const PredisBlock& block);
+
+/// The transaction root a node records for a block it executed from its
+/// own mempool: `block.tx_root` when cut_tips_match (the executed
+/// bundles are then exactly the ones the block names, and their roots
+/// were checked on insertion), else the root recomputed over `txs` —
+/// the path a node takes after adopting a block it never validated
+/// whose cut its mempool has since rewritten.
+Hash32 executed_tx_root(const Mempool& mempool, const PredisBlock& block,
+                        const std::vector<Transaction>& txs);
+
 /// Collect the block's transactions in canonical order (chain-major,
 /// then height, then intra-bundle order). Precondition: the mempool
 /// holds every referenced bundle (verify returned kOk).

@@ -177,6 +177,14 @@ inline constexpr std::size_t qc_bytes(std::size_t q) {
   return 32 + 8 + q * (kSigBytes + 4);
 }
 
+/// Per-node observation hook fired for every executed block: payload
+/// digest, Merkle root over the executed transactions' ids, their
+/// count, commit time. Feeds the per-node Ledgers. The root is one the
+/// node already holds, so observing a commit hashes nothing.
+using CommittedBlockHook =
+    std::function<void(const Hash32& payload_digest, const Hash32& tx_root,
+                       std::size_t tx_count, SimTime when)>;
+
 /// Experiment-wide commit record shared by all consensus nodes of one
 /// simulated cluster. Serves two purposes: (a) metrics — the first
 /// commit of each slot feeds throughput; (b) safety checking — any two

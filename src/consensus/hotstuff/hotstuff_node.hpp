@@ -43,9 +43,7 @@ class HotStuffNode final : public runtime::Actor, private HotStuffApp {
   std::size_t queue_depth() const { return queue_.size(); }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   using TxKey = std::pair<NodeId, TxSeq>;
@@ -109,7 +107,9 @@ class HotStuffNode final : public runtime::Actor, private HotStuffApp {
     ledger_.on_commit(ctx_.index(), round, payload->digest(),
                       batch.txs().size(), ctx_.now());
     if (on_committed_block) {
-      on_committed_block(payload->digest(), batch.txs(), ctx_.now());
+      // The batch digest is the Merkle root over its transactions.
+      on_committed_block(payload->digest(), payload->digest(),
+                         batch.txs().size(), ctx_.now());
     }
     replies_.reply_committed(batch.txs());
     if (!queue_.empty()) core_.payload_ready();

@@ -101,11 +101,13 @@ void SharedMempoolNode::pack_microblock() {
   tx_queue_.erase(tx_queue_.begin(),
                   tx_queue_.begin() + static_cast<std::ptrdiff_t>(take));
 
-  pool_.emplace(Key{mb.producer, mb.index}, mb);
+  const Key key{mb.producer, mb.index};
+  const Hash32 id = mb.id();
+  pool_.emplace(key, mb);
   own_uncommitted_txs_ += take;
-  acks_[Key{mb.producer, mb.index}].insert(ctx_.index());  // self-ack
+  own_.emplace(key, OwnMicroblock{id, {ctx_.index()}});  // self-ack
   if (tracer_ != nullptr) {
-    tracer_->record(TraceStage::kBundleProduced, mb.id(), ctx_.now());
+    tracer_->record(TraceStage::kBundleProduced, id, ctx_.now());
   }
 
   auto msg = std::make_shared<MicroblockMsg>();
@@ -152,9 +154,9 @@ bool SharedMempoolNode::handle_mempool(NodeId from, const runtime::MsgPtr& msg) 
     // Only count acks for microblocks we actually produced, and only
     // when the acked id matches our content — a fabricated ack for a
     // never-produced index must not grow the ack table.
-    const auto own = pool_.find(m->ref.key());
-    if (own == pool_.end() || own->second.id() != m->ref.id) return true;
-    auto& set = acks_[m->ref.key()];
+    const auto own = own_.find(m->ref.key());
+    if (own == own_.end() || own->second.id != m->ref.id) return true;
+    auto& set = own->second.acks;
     set.insert(idx);
     if (set.size() == cfg_.ack_quorum &&
         certified_.count(m->ref.key()) == 0) {
@@ -343,12 +345,14 @@ void SharedMempoolNode::on_commit(hotstuff::Round round,
       gc_.add(it->second.wire_size());
       pool_.erase(it);
     }
-    acks_.erase(old);
+    own_.erase(old);
   }
   ledger_.on_commit(ctx_.index(), round, payload->digest(), txs.size(),
                     ctx_.now());
   if (on_committed_block) {
-    on_committed_block(payload->digest(), txs, ctx_.now());
+    // The id-list payload carries no transaction root: compute it.
+    on_committed_block(payload->digest(), tx_merkle_root(txs), txs.size(),
+                       ctx_.now());
   }
   replies_.reply_committed(txs);
 }

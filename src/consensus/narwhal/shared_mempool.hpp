@@ -156,9 +156,7 @@ class SharedMempoolNode final : public runtime::Actor,
   }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   using Key = std::pair<NodeId, std::uint64_t>;
@@ -199,7 +197,13 @@ class SharedMempoolNode final : public runtime::Actor,
   SimTime next_reoffer_ = 0;
 
   std::map<Key, Microblock> pool_;
-  std::map<Key, std::set<std::size_t>> acks_;  ///< producer-side ack sets
+  // Own microblocks until pool GC: the id, computed once at pack (acks
+  // are checked against it), and the group indices that acked it.
+  struct OwnMicroblock {
+    Hash32 id;
+    std::set<std::size_t> acks;
+  };
+  std::map<Key, OwnMicroblock> own_;
   std::set<Key> certified_;
   std::deque<MicroblockRef> proposable_;  ///< certified, FIFO
   std::set<Key> committed_;

@@ -49,11 +49,8 @@ class PbftNode final : public runtime::Actor, private PbftApp {
   PbftCore& core() { return core_; }
   std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Observation hook: fired for every executed block (digest, its
-  /// transactions, commit time). Used to feed per-node Ledgers.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  /// Observation hook: fired for every executed block.
+  CommittedBlockHook on_committed_block;
 
  private:
   using TxKey = std::pair<NodeId, TxSeq>;
@@ -98,7 +95,7 @@ class PbftNode final : public runtime::Actor, private PbftApp {
       ledger_.on_commit(ctx_.index(), seq, payload->digest(), 0,
                         ctx_.now());
       if (on_committed_block) {
-        on_committed_block(payload->digest(), {}, ctx_.now());
+        on_committed_block(payload->digest(), kZeroHash, 0, ctx_.now());
       }
       return;
     }
@@ -119,7 +116,9 @@ class PbftNode final : public runtime::Actor, private PbftApp {
     ledger_.on_commit(ctx_.index(), seq, payload->digest(),
                       batch.txs().size(), ctx_.now());
     if (on_committed_block) {
-      on_committed_block(payload->digest(), batch.txs(), ctx_.now());
+      // The batch digest is the Merkle root over its transactions.
+      on_committed_block(payload->digest(), payload->digest(),
+                         batch.txs().size(), ctx_.now());
     }
     replies_.reply_committed(batch.txs());
     if (!queue_.empty()) core_.payload_ready();

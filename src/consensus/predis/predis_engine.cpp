@@ -130,7 +130,10 @@ void PredisEngine::produce_bundle() {
   own_height_ += 1;
   own_parent_hash_ = bundle.header.hash();
 
-  const AddBundleResult result = mempool_.add(bundle);
+  // make_bundle just computed the root over these transactions; the
+  // signature is still checked against the registered key.
+  const AddBundleResult result =
+      mempool_.add(bundle, nullptr, {.tx_root = true});
   if (result != AddBundleResult::kAdded) {
     log_warn("own bundle rejected: ", to_string(result));
     return;
@@ -225,8 +228,9 @@ bool PredisEngine::handle(NodeId from, const runtime::MsgPtr& msg) {
   if (const auto* m = dynamic_cast<const BundleBatchMsg*>(msg.get())) {
     // Quorum-boundary batch: verify every signature in the reply with
     // one registry lock, then insert the survivors with the per-bundle
-    // check already discharged. Out-of-range producers are dropped
-    // here (the mempool would reject them as kInvalid anyway).
+    // signature check already discharged (their roots are still
+    // checked). Out-of-range producers are dropped here (the mempool
+    // would reject them as kInvalid anyway).
     std::vector<HeaderSigCheck> checks;
     std::vector<std::size_t> index;
     checks.reserve(m->bundles.size());
@@ -242,7 +246,7 @@ bool PredisEngine::handle(NodeId from, const runtime::MsgPtr& msg) {
     verify_bundle_signatures(checks, ok.get());
     for (std::size_t j = 0; j < checks.size(); ++j) {
       if (ok[j]) {
-        add_bundle(from, m->bundles[index[j]], /*signature_verified=*/true);
+        add_bundle(from, m->bundles[index[j]], {.signature = true});
       }
     }
     return true;
@@ -335,9 +339,8 @@ void PredisEngine::apply_ban(NodeId producer) {
 }
 
 void PredisEngine::add_bundle(NodeId from, const Bundle& bundle,
-                              bool signature_verified) {
-  const AddBundleResult result =
-      mempool_.add(bundle, nullptr, signature_verified);
+                              VerifiedChecks verified) {
+  const AddBundleResult result = mempool_.add(bundle, nullptr, verified);
   switch (result) {
     case AddBundleResult::kAdded: {
       if (outstanding_fetches_.erase({bundle.header.producer,
@@ -546,6 +549,7 @@ void PredisEngine::flush_deferred() {
 
     const std::vector<Transaction> txs =
         extract_transactions(mempool_, block);
+    const Hash32 tx_root = executed_tx_root(mempool_, block, txs);
     mempool_.confirm(block.cut_heights);
     for (std::size_t i = 0; i < last_cut_.size(); ++i) {
       last_cut_[i] = std::max(last_cut_[i], block.cut_heights[i]);
@@ -555,7 +559,7 @@ void PredisEngine::flush_deferred() {
     if (tracer_ != nullptr) {
       tracer_->record(TraceStage::kBlockCommitted, block.hash(), ctx_.now());
     }
-    if (on_execute) on_execute(slot, block, txs);
+    if (on_execute) on_execute(slot, block, txs, tx_root);
     if (on_block_executed) on_block_executed(block, txs);
   }
 }

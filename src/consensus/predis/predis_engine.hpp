@@ -182,8 +182,11 @@ class PredisEngine {
   std::size_t unconfirmed_txs() const;
 
   /// Callback used by commit execution to deliver replies + metrics.
+  /// `tx_root` is the Merkle root over `txs` (executed_tx_root: the
+  /// block's own root unless the local cut tips disagree with it).
   std::function<void(std::uint64_t slot, const PredisBlock&,
-                     const std::vector<Transaction>&)>
+                     const std::vector<Transaction>& txs,
+                     const Hash32& tx_root)>
       on_execute;
 
  private:
@@ -193,7 +196,7 @@ class PredisEngine {
   void apply_ban(NodeId producer);
   void disseminate(const Bundle& bundle);
   void add_bundle(NodeId from, const Bundle& bundle,
-                  bool signature_verified = false);
+                  VerifiedChecks verified = {});
   void request_missing(const std::vector<MissingBundleRef>& refs,
                        NodeId block_sender);
   void retry_fetches();

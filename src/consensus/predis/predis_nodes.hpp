@@ -27,11 +27,12 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
       core_.payload_ready();
       core_.revalidate(core_.last_executed() + 1);
     };
-    engine_.on_execute = [this](std::uint64_t slot, const PredisBlock& block,
-                                const std::vector<Transaction>& txs) {
-      (void)slot;
+    engine_.on_execute = [this](std::uint64_t /*slot*/,
+                                const PredisBlock& block,
+                                const std::vector<Transaction>& txs,
+                                const Hash32& tx_root) {
       if (on_committed_block) {
-        on_committed_block(block.hash(), txs, ctx_.now());
+        on_committed_block(block.hash(), tx_root, txs.size(), ctx_.now());
       }
       replies_.reply_committed(txs);
     };
@@ -64,9 +65,7 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
   PredisEngine& engine() { return engine_; }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   // --- PbftApp ---------------------------------------------------------
@@ -98,7 +97,7 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
       ledger_.on_commit(ctx_.index(), seq, payload->digest(), 0,
                         ctx_.now());
       if (on_committed_block) {
-        on_committed_block(payload->digest(), {}, ctx_.now());
+        on_committed_block(payload->digest(), kZeroHash, 0, ctx_.now());
       }
       core_.revalidate(seq + 1);
       return;
@@ -172,9 +171,10 @@ class PredisHotStuffNode final : public runtime::Actor,
     };
     engine_.on_execute = [this](std::uint64_t /*slot*/,
                                 const PredisBlock& block,
-                                const std::vector<Transaction>& txs) {
+                                const std::vector<Transaction>& txs,
+                                const Hash32& tx_root) {
       if (on_committed_block) {
-        on_committed_block(block.hash(), txs, ctx_.now());
+        on_committed_block(block.hash(), tx_root, txs.size(), ctx_.now());
       }
       replies_.reply_committed(txs);
     };
@@ -204,9 +204,7 @@ class PredisHotStuffNode final : public runtime::Actor,
   PredisEngine& engine() { return engine_; }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   /// The cut this proposal must chain on: the nearest Predis ancestor's

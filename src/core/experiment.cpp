@@ -87,10 +87,9 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     NodeContext ctx(net, consensus_ids[i], ccfg);
     const bool faulty = i + cfg.n_faulty >= cfg.n_consensus &&
                         cfg.fault_mode != predis::FaultMode::kNone;
-    auto record = [&ledgers, i](const Hash32& digest,
-                                const std::vector<Transaction>& txs,
-                                SimTime when) {
-      ledgers[i].append_block(digest, txs, when);
+    auto record = [&ledgers, i](const Hash32& digest, const Hash32& tx_root,
+                                std::size_t tx_count, SimTime when) {
+      ledgers[i].append_block(digest, tx_root, tx_count, when);
     };
 
     switch (cfg.protocol) {

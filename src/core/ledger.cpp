@@ -18,14 +18,15 @@ void Ledger::append(LedgerEntry entry) {
 }
 
 const LedgerEntry& Ledger::append_block(const Hash32& payload_digest,
-                                        const std::vector<Transaction>& txs,
+                                        const Hash32& tx_root,
+                                        std::size_t tx_count,
                                         SimTime committed_at) {
   LedgerEntry entry;
   entry.height = entries_.size() + 1;
   entry.parent = head_hash();
   entry.payload_digest = payload_digest;
-  entry.tx_root = tx_merkle_root(txs);
-  entry.tx_count = txs.size();
+  entry.tx_root = tx_root;
+  entry.tx_count = tx_count;
   entry.committed_at = committed_at;
   append(entry);
   return entries_.back();

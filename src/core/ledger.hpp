@@ -3,20 +3,20 @@
 //
 // Stores one record per committed block — height, parent link, payload
 // digest, transaction count and the transaction ids' Merkle root — and
-// verifies the chain linkage on every append. Cheap enough to run on
-// every simulated node; the cross-node equality check (same digest at
-// every height) is the strongest end-to-end safety assertion the tests
-// have.
+// verifies the chain linkage on every append. The root is the one the
+// committing node already holds (computed or verified on the way to
+// the commit); the ledger never re-hashes transactions. Cheap enough
+// to run on every simulated node; the cross-node equality check (same
+// digest at every height) is the strongest end-to-end safety assertion
+// the tests have.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "common/codec.hpp"
-#include "common/merkle.hpp"
 #include "common/sha256.hpp"
 #include "common/types.hpp"
-#include "txpool/transaction.hpp"
 
 namespace predis::core {
 
@@ -70,8 +70,10 @@ class Ledger {
   void append(LedgerEntry entry);
 
   /// Convenience: build + append an entry from a commit event.
+  /// `tx_root` is the Merkle root over the executed transactions' ids.
   const LedgerEntry& append_block(const Hash32& payload_digest,
-                                  const std::vector<Transaction>& txs,
+                                  const Hash32& tx_root,
+                                  std::size_t tx_count,
                                   SimTime committed_at);
 
   std::size_t size() const { return entries_.size(); }

@@ -117,6 +117,36 @@ TEST_F(MempoolFixture, TamperedTransactionsRejected) {
   EXPECT_EQ(mempool.add(b), AddBundleResult::kBadTxRoot);
 }
 
+TEST_F(MempoolFixture, VerifiedSignatureDoesNotVouchForTheRoot) {
+  // A BundleBatch reply's signatures are batch-verified; the root is not.
+  Bundle b = next_bundle(0, {1, 0, 0, 0});
+  b.txs.push_back(txs(1, 5)[0]);
+  EXPECT_EQ(mempool.add(b, nullptr, {.signature = true}),
+            AddBundleResult::kBadTxRoot);
+  EXPECT_EQ(mempool.chain(0).contiguous_height(), 0u);
+}
+
+TEST_F(MempoolFixture, VerifiedRootDoesNotVouchForTheSignature) {
+  // A producer's own bundle skips the root check, never the signature.
+  Bundle b = make_bundle(0, 1, kZeroHash, {1, 0, 0, 0}, txs(1, 1),
+                         KeyPair::from_seed(99));  // not producer 0's key
+  EXPECT_EQ(mempool.add(b, nullptr, {.tx_root = true}),
+            AddBundleResult::kBadSignature);
+}
+
+TEST_F(MempoolFixture, BadRootIsRejectedBeforeParking) {
+  // Retried parked bundles skip both checks, so a bad root must never
+  // reach the out-of-order buffer.
+  const Bundle b1 = next_bundle(0, {1, 0, 0, 0});
+  Bundle bad = next_bundle(0, {2, 0, 0, 0});
+  bad.txs.push_back(txs(1, 5)[0]);
+  EXPECT_EQ(mempool.add(bad), AddBundleResult::kBadTxRoot);
+  EXPECT_EQ(mempool.pending_count(0), 0u);
+  EXPECT_EQ(mempool.add(b1), AddBundleResult::kAdded);
+  EXPECT_EQ(mempool.chain(0).contiguous_height(), 1u);
+  EXPECT_FALSE(mempool.chain(0).has(2));
+}
+
 TEST_F(MempoolFixture, MalformedBundlesRejected) {
   // Unknown chain id.
   Bundle bad = make_bundle(7, 1, kZeroHash, {0, 0, 0, 0}, txs(1, 1),

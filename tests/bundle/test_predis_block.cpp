@@ -31,17 +31,21 @@ std::vector<Transaction> make_txs(std::size_t n, std::uint64_t tag) {
 }
 
 /// Mempool where every chain has `height` bundles of `txs_per_bundle`
-/// transactions and fully up-to-date tip lists.
-Mempool full_mempool(BundleHeight height, std::size_t txs_per_bundle) {
+/// transactions and fully up-to-date tip lists. Chain `rewritten_chain`
+/// (if < kN) carries other transactions: the same producer's history as
+/// a node holds it after that chain was rewritten.
+Mempool full_mempool(BundleHeight height, std::size_t txs_per_bundle,
+                     std::size_t rewritten_chain = kN) {
   Mempool mp(kN, producer_keys());
   for (std::size_t producer = 0; producer < kN; ++producer) {
+    const std::uint64_t salt = producer == rewritten_chain ? 50 : 0;
     Hash32 parent = kZeroHash;
     for (BundleHeight h = 1; h <= height; ++h) {
       std::vector<BundleHeight> tips(kN, height);
-      Bundle b = make_bundle(static_cast<NodeId>(producer), h, parent,
-                             std::move(tips),
-                             make_txs(txs_per_bundle, producer * 100 + h),
-                             KeyPair::from_seed(producer));
+      Bundle b = make_bundle(
+          static_cast<NodeId>(producer), h, parent, std::move(tips),
+          make_txs(txs_per_bundle, producer * 100 + h + salt),
+          KeyPair::from_seed(producer));
       parent = b.header.hash();
       if (mp.add(b) != AddBundleResult::kAdded) {
         throw std::logic_error("fixture bundle rejected");
@@ -79,6 +83,33 @@ TEST(PredisBlock, ExtractTransactionsCanonicalOrder) {
   // Chain-major, height order: first tx comes from chain 0 height 1.
   EXPECT_EQ(txs[0], mp.chain(0).get(1)->txs[0]);
   EXPECT_EQ(txs.back(), mp.chain(kN - 1).get(2)->txs.back());
+}
+
+TEST(PredisBlock, ExecutedTxRootIsTheBlockRootWhenCutTipsMatch) {
+  const Mempool mp = full_mempool(3, 4);
+  const PredisBlock block = build_predis_block(
+      mp, 0, kF, 1, 0, kZeroHash, std::vector<BundleHeight>(kN, 0),
+      leader_key());
+  const auto txs = extract_transactions(mp, block);
+  EXPECT_TRUE(cut_tips_match(mp, block));
+  EXPECT_EQ(executed_tx_root(mp, block, txs), block.tx_root);
+  EXPECT_EQ(block.tx_root, tx_merkle_root(txs));
+}
+
+TEST(PredisBlock, ExecutedTxRootIsRecomputedWhenACutTipDiffers) {
+  // The block names the leader's chain 1; the executing node holds a
+  // rewritten one, so the block's root does not describe what it ran.
+  const PredisBlock block = build_predis_block(
+      full_mempool(3, 4), 0, kF, 1, 0, kZeroHash,
+      std::vector<BundleHeight>(kN, 0), leader_key());
+  const Mempool rewritten = full_mempool(3, 4, /*rewritten_chain=*/1);
+  EXPECT_FALSE(cut_tips_match(rewritten, block));
+  EXPECT_EQ(verify_predis_block(rewritten, block, leader_key().public_key()),
+            BlockVerifyResult::kConflict);
+  const auto txs = extract_transactions(rewritten, block);
+  const Hash32 root = executed_tx_root(rewritten, block, txs);
+  EXPECT_EQ(root, tx_merkle_root(txs));
+  EXPECT_NE(root, block.tx_root);
 }
 
 TEST(PredisBlock, IncrementalBlocksChain) {

@@ -126,6 +126,15 @@ TEST(HashAlloc, BundleAndBlockTxRootsAllocateNothing) {
               sink[0] ^= compute_block_tx_root(mempool, prev, cut)[0];
             }),
             0u);
+  // The root a node records at commit: four cut-tip header hashes.
+  const PredisBlock block = build_predis_block(
+      mempool, 0, kN - 1, 1, 0, kZeroHash, prev, KeyPair::from_seed(0));
+  ASSERT_EQ(block.cut_heights, cut);
+  const auto executed = extract_transactions(mempool, block);
+  EXPECT_EQ(allocations_in([&] {
+              sink[0] ^= executed_tx_root(mempool, block, executed)[0];
+            }),
+            0u);
 }
 
 }  // namespace

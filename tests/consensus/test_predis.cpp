@@ -225,5 +225,54 @@ TEST(PredisEngineValidate, RejectsBlockSignedByNonLeaderKey) {
             Validity::kInvalid);
 }
 
+std::vector<Transaction> client_txs(std::size_t n, TxSeq first_seq) {
+  std::vector<Transaction> txs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    txs[i].client = 99;
+    txs[i].seq = first_seq + i;
+  }
+  return txs;
+}
+
+TEST(PredisEngineIngest, BatchReplyStillChecksEveryRoot) {
+  // A BundleBatch reply's signatures are verified as one batch; that
+  // vouches for the headers, not for the bodies under them.
+  TestCluster cluster(4, 1);
+  NodeContext ctx = cluster.context(0);
+  PredisEngine engine(ctx, PredisConfig{}, cluster.producer_keys(),
+                      KeyPair::from_seed(cluster.ids[0]));
+  const KeyPair key1 = KeyPair::from_seed(cluster.ids[1]);
+  Bundle swapped = make_bundle(1, 1, kZeroHash, {0, 1, 0, 0},
+                               client_txs(3, 1), key1);
+  swapped.txs = client_txs(3, 100);  // same signed header, other body
+  ASSERT_TRUE(verify_bundle_signature(swapped.header, key1.public_key()));
+
+  auto batch = std::make_shared<BundleBatchMsg>();
+  batch->bundles = {swapped,
+                    make_bundle(2, 1, kZeroHash, {0, 0, 1, 0},
+                                client_txs(3, 7),
+                                KeyPair::from_seed(cluster.ids[2]))};
+  EXPECT_TRUE(engine.handle(cluster.ids[3], batch));
+  EXPECT_FALSE(engine.mempool().chain(1).has(1));
+  EXPECT_TRUE(engine.mempool().chain(2).has(1));
+}
+
+TEST(PredisEngineIngest, OwnBundleStillNeedsTheRegisteredKey) {
+  // Own bundles skip the root recheck (make_bundle just computed it),
+  // not the signature check against the registered producer key.
+  PredisConfig cfg;
+  cfg.bundle_size = 10;
+  for (const bool registered : {true, false}) {
+    TestCluster cluster(4, 1);
+    NodeContext ctx = cluster.context(0);
+    PredisEngine engine(ctx, cfg, cluster.producer_keys(),
+                        KeyPair::from_seed(registered ? cluster.ids[0]
+                                                      : 999));
+    engine.enqueue(client_txs(10, 1));  // one full bundle: packed eagerly
+    EXPECT_EQ(engine.mempool().chain(0).contiguous_height(),
+              registered ? 1u : 0u);
+  }
+}
+
 }  // namespace
 }  // namespace predis::consensus::predis

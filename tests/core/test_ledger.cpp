@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "txpool/transaction.hpp"
+
 namespace predis::core {
 namespace {
 
@@ -18,10 +20,18 @@ Hash32 digest(std::uint64_t tag) {
   return Sha256::hash(as_bytes("payload-" + std::to_string(tag)));
 }
 
+/// Appends block `tag` carrying `n` transactions, recording their root
+/// as the committing node would.
+const LedgerEntry& append(Ledger& ledger, std::uint64_t tag, std::size_t n,
+                          SimTime when = 0) {
+  return ledger.append_block(digest(tag), tx_merkle_root(txs(n, tag)), n,
+                             when);
+}
+
 TEST(Ledger, AppendsChainAndCounts) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(5, 1), milliseconds(10));
-  ledger.append_block(digest(2), txs(3, 2), milliseconds(20));
+  append(ledger, 1, 5, milliseconds(10));
+  append(ledger, 2, 3, milliseconds(20));
   EXPECT_EQ(ledger.size(), 2u);
   EXPECT_EQ(ledger.total_txs(), 8u);
   EXPECT_TRUE(ledger.verify_chain());
@@ -30,9 +40,20 @@ TEST(Ledger, AppendsChainAndCounts) {
   EXPECT_EQ(ledger.head()->height, 2u);
 }
 
+TEST(Ledger, RecordsTheGivenRootAndCount) {
+  Ledger ledger;
+  const Hash32 root = Sha256::hash(as_bytes(std::string("root")));
+  const LedgerEntry& e = ledger.append_block(digest(1), root, 7, 5);
+  EXPECT_EQ(e.payload_digest, digest(1));
+  EXPECT_EQ(e.tx_root, root);
+  EXPECT_EQ(e.tx_count, 7u);
+  EXPECT_EQ(e.committed_at, 5);
+  EXPECT_EQ(ledger.total_txs(), 7u);
+}
+
 TEST(Ledger, RejectsNonChainingAppends) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(1, 1), 0);
+  append(ledger, 1, 1);
 
   LedgerEntry bad;
   bad.height = 3;  // skips height 2
@@ -46,21 +67,21 @@ TEST(Ledger, RejectsNonChainingAppends) {
 
 TEST(Ledger, VerifyChainDetectsTampering) {
   Ledger a;
-  a.append_block(digest(1), txs(2, 1), 0);
-  a.append_block(digest(2), txs(2, 2), 0);
+  append(a, 1, 2);
+  append(a, 2, 2);
   EXPECT_TRUE(a.verify_chain());
   // Ledger's API prevents tampering; simulate divergence via two
   // ledgers built from different histories instead.
   Ledger b;
-  b.append_block(digest(9), txs(2, 9), 0);
+  append(b, 9, 2);
   EXPECT_FALSE(a.prefix_consistent_with(b));
 }
 
 TEST(Ledger, PrefixConsistencyToleratesDifferentLengths) {
   Ledger a, b;
-  a.append_block(digest(1), txs(1, 1), 0);
-  a.append_block(digest(2), txs(1, 2), 0);
-  b.append_block(digest(1), txs(1, 1), 0);
+  append(a, 1, 1);
+  append(a, 2, 1);
+  append(b, 1, 1);
   EXPECT_TRUE(a.prefix_consistent_with(b));
   EXPECT_TRUE(b.prefix_consistent_with(a));
 }
@@ -68,11 +89,11 @@ TEST(Ledger, PrefixConsistencyToleratesDifferentLengths) {
 TEST(Ledger, ExportImportStateTransfer) {
   Ledger full;
   for (int i = 1; i <= 6; ++i) {
-    full.append_block(digest(i), txs(2, i), milliseconds(i));
+    append(full, i, 2, milliseconds(i));
   }
   Ledger lagging;
   for (int i = 1; i <= 2; ++i) {
-    lagging.append_block(digest(i), txs(2, i), milliseconds(i));
+    append(lagging, i, 2, milliseconds(i));
   }
   const Bytes range = full.export_range(1, 6);
   EXPECT_EQ(lagging.import_range(range), 4u);
@@ -84,15 +105,15 @@ TEST(Ledger, ExportImportStateTransfer) {
 
 TEST(Ledger, ImportDetectsDivergentHistory) {
   Ledger a, b;
-  a.append_block(digest(1), txs(1, 1), 0);
-  b.append_block(digest(99), txs(1, 99), 0);
+  append(a, 1, 1);
+  append(b, 99, 1);
   const Bytes range = a.export_range(1, 1);
   EXPECT_THROW(b.import_range(range), std::logic_error);
 }
 
 TEST(Ledger, ExportRangeValidation) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(1, 1), 0);
+  append(ledger, 1, 1);
   EXPECT_THROW(ledger.export_range(0, 1), std::out_of_range);
   EXPECT_THROW(ledger.export_range(1, 2), std::out_of_range);
   EXPECT_THROW(ledger.export_range(2, 1), std::out_of_range);
