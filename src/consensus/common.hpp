@@ -15,6 +15,7 @@
 #include "common/metrics.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/sha256.hpp"
+#include "common/signature.hpp"
 #include "common/types.hpp"
 #include "runtime/runtime.hpp"
 #include "txpool/transaction.hpp"
@@ -114,6 +115,14 @@ class NodeContext {
   std::size_t index_ = 0;
   ConsensusConfig cfg_;
 };
+
+/// Producer public keys in chain order. Keys derive from network node
+/// ids, the one convention every engine and verifier shares.
+inline std::vector<PublicKey> producer_keys(const std::vector<NodeId>& ids) {
+  std::vector<PublicKey> keys;
+  for (NodeId id : ids) keys.push_back(KeyPair::from_seed(id).public_key());
+  return keys;
+}
 
 /// Most client transactions a shared-mempool producer may hold admitted
 /// but not yet confirmed: its ingress queue plus its own bundles or

@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "common/sha256.hpp"
@@ -36,14 +35,111 @@ const char* to_string(Protocol p) {
   return "?";
 }
 
-namespace {
-
-bool is_predis_style(Protocol p) {
-  return p == Protocol::kPredisPbft || p == Protocol::kPredisHotStuff ||
-         p == Protocol::kNarwhal || p == Protocol::kStratus;
+const char* protocol_flag(Protocol p) {
+  switch (p) {
+    case Protocol::kPbft:
+      return "pbft";
+    case Protocol::kHotStuff:
+      return "hotstuff";
+    case Protocol::kPredisPbft:
+      return "p-pbft";
+    case Protocol::kPredisHotStuff:
+      return "p-hs";
+    case Protocol::kNarwhal:
+      return "narwhal";
+    case Protocol::kStratus:
+      return "stratus";
+  }
+  return "?";
 }
 
-}  // namespace
+std::optional<Protocol> parse_protocol(const std::string& flag) {
+  if (flag == "predis") return Protocol::kPredisPbft;
+  for (Protocol p : {Protocol::kPbft, Protocol::kHotStuff,
+                     Protocol::kPredisPbft, Protocol::kPredisHotStuff,
+                     Protocol::kNarwhal, Protocol::kStratus}) {
+    if (flag == protocol_flag(p)) return p;
+  }
+  return std::nullopt;
+}
+
+ConsensusNode make_consensus_node(const ClusterConfig& cfg, std::size_t index,
+                                  NodeContext ctx,
+                                  const std::vector<PublicKey>& keys,
+                                  CommitLedger& ledger, BlockTracer* tracer,
+                                  CommittedBlockHook on_commit) {
+  ConsensusNode out;
+  // Hands the node to `out` and returns it typed, for the handles.
+  auto install = [&](auto node) {
+    node->on_committed_block = std::move(on_commit);
+    auto* typed = node.get();
+    out.actor = std::move(node);
+    return typed;
+  };
+  switch (cfg.protocol) {
+    case Protocol::kPbft: {
+      pbft::PbftNodeConfig ncfg;
+      ncfg.batch_size = cfg.batch_size;
+      ncfg.pipeline_window = cfg.pbft_pipeline_window;
+      auto* node = install(std::make_unique<pbft::PbftNode>(ctx, ncfg, ledger));
+      out.pbft = &node->core();
+      out.pbft->set_tracer(tracer);
+      break;
+    }
+    case Protocol::kHotStuff: {
+      hotstuff::HotStuffNodeConfig ncfg;
+      ncfg.batch_size = cfg.batch_size;
+      auto* node =
+          install(std::make_unique<hotstuff::HotStuffNode>(ctx, ncfg, ledger));
+      out.hotstuff = &node->core();
+      out.hotstuff->set_tracer(tracer);
+      break;
+    }
+    case Protocol::kPredisPbft:
+    case Protocol::kPredisHotStuff: {
+      predis::PredisConfig pcfg;
+      pcfg.bundle_size = cfg.bundle_size;
+      pcfg.bundle_interval = cfg.bundle_interval;
+      pcfg.seed = cfg.seed;
+      pcfg.cut_f_override = cfg.cut_f_override;
+      if (index + cfg.n_faulty >= cfg.n_consensus) pcfg.fault = cfg.fault_mode;
+      const KeyPair own = KeyPair::from_seed(ctx.self());
+      if (cfg.protocol == Protocol::kPredisPbft) {
+        auto* node = install(std::make_unique<predis::PredisPbftNode>(
+            ctx, pcfg, keys, own, ledger));
+        out.engine = &node->engine();
+        out.pbft = &node->core();
+      } else {
+        auto* node = install(std::make_unique<predis::PredisHotStuffNode>(
+            ctx, pcfg, keys, own, ledger));
+        out.engine = &node->engine();
+        out.hotstuff = &node->core();
+      }
+      // The engine traces the full bundle + block lifecycle; the core
+      // stays untraced to avoid double-counting proposals.
+      out.engine->set_tracer(tracer);
+      break;
+    }
+    case Protocol::kNarwhal:
+    case Protocol::kStratus: {
+      narwhal::SharedMempoolConfig ncfg;
+      ncfg.microblock_size = cfg.bundle_size;
+      ncfg.pack_interval = cfg.bundle_interval;
+      ncfg.id_cap = cfg.microblock_id_cap;
+      ncfg.seed = cfg.seed;
+      ncfg.ack_quorum = cfg.protocol == Protocol::kNarwhal
+                            ? cfg.n_consensus - cfg.f  // RBC
+                            : cfg.f + 1;               // PAB
+      out.pool = install(
+          std::make_unique<narwhal::SharedMempoolNode>(ctx, ncfg, ledger));
+      out.pool->set_tracer(tracer);
+      out.hotstuff = &out.pool->core();
+      break;
+    }
+  }
+  ctx.net().attach(ctx.self(), out.actor.get());
+  return out;
+}
 
 ClusterResult run_cluster(const ClusterConfig& cfg) {
   // Default backend: the deterministic discrete-event simulator. A
@@ -68,13 +164,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   ccfg.f = cfg.f;
   ccfg.view_timeout = cfg.view_timeout;
   ccfg.propose_until = cfg.duration;
-
-  // Producer keys are derived from network node ids (one convention
-  // shared by every engine and verifier).
-  std::vector<PublicKey> keys;
-  for (NodeId id : consensus_ids) {
-    keys.push_back(KeyPair::from_seed(id).public_key());
-  }
+  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
 
   Metrics metrics;
   CommitLedger ledger(metrics);
@@ -82,113 +172,28 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   // the history of the ledger); checked for prefix consistency below.
   std::vector<Ledger> ledgers(cfg.n_consensus);
 
-  std::vector<std::unique_ptr<runtime::Actor>> actors;
+  std::vector<ConsensusNode> nodes;
   for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    NodeContext ctx(net, consensus_ids[i], ccfg);
-    const bool faulty = i + cfg.n_faulty >= cfg.n_consensus &&
-                        cfg.fault_mode != predis::FaultMode::kNone;
     auto record = [&ledgers, i](const Hash32& digest, const Hash32& tx_root,
                                 std::size_t tx_count, SimTime when) {
       ledgers[i].append_block(digest, tx_root, tx_count, when);
     };
-
-    switch (cfg.protocol) {
-      case Protocol::kPbft: {
-        pbft::PbftNodeConfig ncfg;
-        ncfg.batch_size = cfg.batch_size;
-        ncfg.pipeline_window = cfg.pbft_pipeline_window;
-        auto node = std::make_unique<pbft::PbftNode>(ctx, ncfg, ledger);
-        node->on_committed_block = record;
-        node->core().set_tracer(cfg.ctx.tracer);
-        actors.push_back(std::move(node));
-        break;
-      }
-      case Protocol::kHotStuff: {
-        hotstuff::HotStuffNodeConfig ncfg;
-        ncfg.batch_size = cfg.batch_size;
-        auto node =
-            std::make_unique<hotstuff::HotStuffNode>(ctx, ncfg, ledger);
-        node->on_committed_block = record;
-        node->core().set_tracer(cfg.ctx.tracer);
-        actors.push_back(std::move(node));
-        break;
-      }
-      case Protocol::kPredisPbft:
-      case Protocol::kPredisHotStuff: {
-        predis::PredisConfig pcfg;
-        pcfg.bundle_size = cfg.bundle_size;
-        pcfg.bundle_interval = cfg.bundle_interval;
-        pcfg.seed = cfg.seed;
-        pcfg.cut_f_override = cfg.cut_f_override;
-        pcfg.fault = faulty ? cfg.fault_mode : predis::FaultMode::kNone;
-        KeyPair own = KeyPair::from_seed(consensus_ids[i]);
-        if (cfg.protocol == Protocol::kPredisPbft) {
-          auto node = std::make_unique<predis::PredisPbftNode>(
-              ctx, pcfg, keys, own, ledger);
-          node->on_committed_block = record;
-          // The engine traces the full bundle + block lifecycle; the
-          // core stays untraced to avoid double-counting proposals.
-          node->engine().set_tracer(cfg.ctx.tracer);
-          actors.push_back(std::move(node));
-        } else {
-          auto node = std::make_unique<predis::PredisHotStuffNode>(
-              ctx, pcfg, keys, own, ledger);
-          node->on_committed_block = record;
-          node->engine().set_tracer(cfg.ctx.tracer);
-          actors.push_back(std::move(node));
-        }
-        break;
-      }
-      case Protocol::kNarwhal:
-      case Protocol::kStratus: {
-        narwhal::SharedMempoolConfig ncfg;
-        ncfg.microblock_size = cfg.bundle_size;
-        ncfg.pack_interval = cfg.bundle_interval;
-        ncfg.id_cap = cfg.microblock_id_cap;
-        ncfg.seed = cfg.seed;
-        ncfg.ack_quorum = cfg.protocol == Protocol::kNarwhal
-                              ? cfg.n_consensus - cfg.f  // RBC
-                              : cfg.f + 1;               // PAB
-        auto node = std::make_unique<narwhal::SharedMempoolNode>(
-            ctx, ncfg, ledger);
-        node->on_committed_block = record;
-        node->set_tracer(cfg.ctx.tracer);
-        actors.push_back(std::move(node));
-        break;
-      }
-    }
-    net.attach(consensus_ids[i], actors.back().get());
+    nodes.push_back(make_consensus_node(
+        cfg, i, NodeContext(net, consensus_ids[i], ccfg), keys, ledger,
+        cfg.ctx.tracer, record));
   }
 
   // --- Clients ----------------------------------------------------------
-  const double per_client = cfg.offered_load_tps /
-                            static_cast<double>(cfg.n_clients);
-  std::vector<std::unique_ptr<ClientActor>> clients;
-  for (std::size_t c = 0; c < cfg.n_clients; ++c) {
-    runtime::NodeConfig ncfg;
-    ncfg.region = static_cast<std::uint32_t>(c % regions);
-    // Clients are not the system under test: give them fat pipes so the
-    // consensus layer is the bottleneck, as in the paper's testbed
-    // (many client instances).
-    ncfg.up_bw = 10 * runtime::kBandwidth100Mbps;
-    ncfg.down_bw = 10 * runtime::kBandwidth100Mbps;
-    const NodeId id = net.add_node(ncfg);
-
-    ClientConfig ccfg2;
-    ccfg2.self = id;
-    if (is_predis_style(cfg.protocol)) {
-      ccfg2.targets = {consensus_ids[c % cfg.n_consensus]};
-    } else {
-      ccfg2.targets = consensus_ids;  // broadcast, standard BFT client
-    }
-    ccfg2.tx_per_second = per_client;
-    ccfg2.tx_size = cfg.tx_size;
-    ccfg2.stop_at = cfg.duration;
-    ccfg2.record_from = cfg.warmup;
-    ccfg2.seed = cfg.seed * 1000 + c;
-    clients.push_back(std::make_unique<ClientActor>(net, ccfg2, metrics));
-    net.attach(id, clients.back().get());
-  }
+  ClientConfig shape;
+  shape.tx_per_second =
+      cfg.offered_load_tps / static_cast<double>(cfg.n_clients);
+  shape.tx_size = cfg.tx_size;
+  shape.stop_at = cfg.duration;
+  shape.record_from = cfg.warmup;
+  shape.seed = cfg.seed * 1000;
+  const auto clients =
+      add_clients(net, consensus_ids, cfg.n_clients, regions,
+                  clients_broadcast(cfg.protocol), shape, metrics);
 
   // --- Run --------------------------------------------------------------
   std::vector<NodeId> client_ids;

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,18 @@
 #include "common/types.hpp"
 #include "consensus/predis/predis_engine.hpp"
 #include "runtime/run_context.hpp"
+
+namespace predis::consensus {
+namespace pbft {
+class PbftCore;
+}
+namespace hotstuff {
+class HotStuffCore;
+}
+namespace narwhal {
+class SharedMempoolNode;
+}
+}  // namespace predis::consensus
 
 namespace predis::core {
 
@@ -25,6 +39,10 @@ enum class Protocol {
 };
 
 const char* to_string(Protocol p);
+/// Command-line spelling ("pbft", "p-pbft", ...); parse_protocol reads
+/// it back and also accepts "predis" for P-PBFT.
+const char* protocol_flag(Protocol p);
+std::optional<Protocol> parse_protocol(const std::string& flag);
 
 struct ClusterConfig {
   Protocol protocol = Protocol::kPredisPbft;
@@ -104,6 +122,38 @@ struct ClusterResult {
   /// golden-digest tests pin it for a fixed scenario.
   std::string commit_digest;
 };
+
+/// One consensus node and the typed handles harnesses read after a
+/// run; a handle the protocol does not have is null.
+struct ConsensusNode {
+  std::unique_ptr<runtime::Actor> actor;
+  consensus::predis::PredisEngine* engine = nullptr;  ///< P-PBFT, P-HS.
+  consensus::pbft::PbftCore* pbft = nullptr;          ///< PBFT, P-PBFT.
+  /// HotStuff, P-HS, Narwhal, Stratus.
+  consensus::hotstuff::HotStuffCore* hotstuff = nullptr;
+  /// Narwhal, Stratus.
+  consensus::narwhal::SharedMempoolNode* pool = nullptr;
+};
+
+/// Build consensus node `index` of `cfg.protocol` and attach it to
+/// ctx's runtime: the one place a Protocol picks a node type. Sizes,
+/// seed and fault mode come from `cfg` (the last `cfg.n_faulty` nodes
+/// run `cfg.fault_mode`); `keys` are the producer keys
+/// (consensus::producer_keys). Every node records into `ledger`,
+/// traces into `tracer` (may be null) and reports executed blocks to
+/// `on_commit`.
+ConsensusNode make_consensus_node(const ClusterConfig& cfg, std::size_t index,
+                                  consensus::NodeContext ctx,
+                                  const std::vector<PublicKey>& keys,
+                                  consensus::CommitLedger& ledger,
+                                  BlockTracer* tracer,
+                                  consensus::CommittedBlockHook on_commit = {});
+
+/// Clients of the baseline protocols (PBFT, HotStuff) broadcast to
+/// every replica; shared-mempool clients send to one consensus node.
+inline bool clients_broadcast(Protocol p) {
+  return p == Protocol::kPbft || p == Protocol::kHotStuff;
+}
 
 /// Run one cluster simulation to completion and report.
 ClusterResult run_cluster(const ClusterConfig& config);

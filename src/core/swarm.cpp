@@ -53,11 +53,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   ConsensusConfig ccfg;
   ccfg.nodes = consensus_ids;
   ccfg.f = cfg.f;
-
-  std::vector<PublicKey> keys;
-  for (NodeId id : consensus_ids) {
-    keys.push_back(KeyPair::from_seed(id).public_key());
-  }
+  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
 
   Metrics metrics;
   CommitLedger ledger(metrics);
@@ -102,83 +98,26 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
     }
   });
 
-  std::vector<std::unique_ptr<runtime::Actor>> actors;
-  std::vector<predis::PredisEngine*> engines(cfg.n_consensus, nullptr);
-  // Typed core handles kept alongside the type-erased actors so the
-  // collect block can read recovery counters (catch-up batches, stall
-  // escalations, GC accounting) without reflection.
-  std::vector<pbft::PbftCore*> pbft_cores(cfg.n_consensus, nullptr);
-  std::vector<hotstuff::HotStuffCore*> hs_cores(cfg.n_consensus, nullptr);
-  std::vector<narwhal::SharedMempoolNode*> pools(cfg.n_consensus, nullptr);
+  // A default ClusterConfig carries the node-config defaults; swarm sets
+  // only protocol, size and seed. The typed handles let the collect
+  // block read recovery counters (catch-up batches, stall escalations,
+  // GC accounting) without reflection.
+  ClusterConfig node_cfg;
+  node_cfg.protocol = cfg.protocol;
+  node_cfg.n_consensus = cfg.n_consensus;
+  node_cfg.f = cfg.f;
+  node_cfg.seed = cfg.seed;
+  std::vector<ConsensusNode> nodes;
   for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    NodeContext ctx(net, consensus_ids[i], ccfg);
-    switch (cfg.protocol) {
-      case Protocol::kPbft: {
-        pbft::PbftNodeConfig ncfg;
-        auto node = std::make_unique<pbft::PbftNode>(ctx, ncfg, ledger);
-        node->core().set_tracer(&block_tracer);
-        node->core().set_recovery_seed(cfg.seed ^ ((i + 1) * 0x9e3779b9ULL));
-        pbft_cores[i] = &node->core();
-        actors.push_back(std::move(node));
-        break;
-      }
-      case Protocol::kHotStuff: {
-        hotstuff::HotStuffNodeConfig ncfg;
-        auto node =
-            std::make_unique<hotstuff::HotStuffNode>(ctx, ncfg, ledger);
-        node->core().set_tracer(&block_tracer);
-        node->core().set_recovery_seed(cfg.seed ^ ((i + 1) * 0x9e3779b9ULL));
-        hs_cores[i] = &node->core();
-        actors.push_back(std::move(node));
-        break;
-      }
-      case Protocol::kPredisPbft:
-      case Protocol::kPredisHotStuff: {
-        predis::PredisConfig pcfg;
-        pcfg.seed = cfg.seed;
-        KeyPair own = KeyPair::from_seed(consensus_ids[i]);
-        if (cfg.protocol == Protocol::kPredisPbft) {
-          auto node = std::make_unique<predis::PredisPbftNode>(
-              ctx, pcfg, keys, own, ledger);
-          engines[i] = &node->engine();
-          engines[i]->set_tracer(&block_tracer);
-          node->core().set_recovery_seed(cfg.seed ^
-                                         ((i + 1) * 0x9e3779b9ULL));
-          pbft_cores[i] = &node->core();
-          actors.push_back(std::move(node));
-        } else {
-          auto node = std::make_unique<predis::PredisHotStuffNode>(
-              ctx, pcfg, keys, own, ledger);
-          engines[i] = &node->engine();
-          engines[i]->set_tracer(&block_tracer);
-          node->core().set_recovery_seed(cfg.seed ^
-                                         ((i + 1) * 0x9e3779b9ULL));
-          hs_cores[i] = &node->core();
-          actors.push_back(std::move(node));
-        }
-        break;
-      }
-      case Protocol::kNarwhal:
-      case Protocol::kStratus: {
-        narwhal::SharedMempoolConfig ncfg;
-        ncfg.seed = cfg.seed;
-        ncfg.ack_quorum = cfg.protocol == Protocol::kNarwhal
-                              ? cfg.n_consensus - cfg.f
-                              : cfg.f + 1;
-        auto node =
-            std::make_unique<narwhal::SharedMempoolNode>(ctx, ncfg, ledger);
-        node->set_tracer(&block_tracer);
-        node->core().set_recovery_seed(cfg.seed ^ ((i + 1) * 0x9e3779b9ULL));
-        pools[i] = node.get();
-        hs_cores[i] = &node->core();
-        actors.push_back(std::move(node));
-        break;
-      }
-    }
-    net.attach(consensus_ids[i], actors.back().get());
+    nodes.push_back(make_consensus_node(
+        node_cfg, i, NodeContext(net, consensus_ids[i], ccfg), keys, ledger,
+        &block_tracer));
+    const std::uint64_t rseed = cfg.seed ^ ((i + 1) * 0x9e3779b9ULL);
+    const ConsensusNode& node = nodes.back();
+    if (node.pbft != nullptr) node.pbft->set_recovery_seed(rseed);
+    if (node.hotstuff != nullptr) node.hotstuff->set_recovery_seed(rseed);
 
-    if (engines[i] != nullptr) {
-      predis::PredisEngine* engine = engines[i];
+    if (predis::PredisEngine* engine = node.engine) {
       engine->on_block_executed =
           [&inv, &net, engine, i](const PredisBlock& block,
                                   const std::vector<Transaction>&) {
@@ -201,7 +140,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
     for (std::size_t i = 0; i < consensus_ids.size(); ++i) {
       if (consensus_ids[i] != id) continue;
       inv.set_byzantine(i, true);
-      if (engines[i] != nullptr) engines[i]->inject_equivocation();
+      if (nodes[i].engine != nullptr) nodes[i].engine->inject_equivocation();
     }
   };
   // Hostile-injector and withholding hooks. The injector sends garbage
@@ -229,32 +168,15 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   faults.arm();
 
   // --- Clients ---------------------------------------------------------
-  const double per_client =
+  ClientConfig shape;
+  shape.tx_per_second =
       cfg.offered_load_tps / static_cast<double>(cfg.n_clients);
-  std::vector<std::unique_ptr<ClientActor>> clients;
-  for (std::size_t c = 0; c < cfg.n_clients; ++c) {
-    runtime::NodeConfig ncfg;
-    ncfg.region = static_cast<std::uint32_t>(c % regions);
-    ncfg.up_bw = 10 * runtime::kBandwidth100Mbps;
-    ncfg.down_bw = 10 * runtime::kBandwidth100Mbps;
-    const NodeId id = net.add_node(ncfg);
-
-    ClientConfig ccfg2;
-    ccfg2.self = id;
-    if (cfg.protocol == Protocol::kPbft ||
-        cfg.protocol == Protocol::kHotStuff) {
-      ccfg2.targets = consensus_ids;
-    } else {
-      ccfg2.targets = {consensus_ids[c % cfg.n_consensus]};
-    }
-    ccfg2.tx_per_second = per_client;
-    ccfg2.tx_size = cfg.tx_size;
-    ccfg2.stop_at = cfg.duration;
-    ccfg2.record_from = 0;
-    ccfg2.seed = cfg.seed * 1000 + c;
-    clients.push_back(std::make_unique<ClientActor>(net, ccfg2, metrics));
-    net.attach(id, clients.back().get());
-  }
+  shape.tx_size = cfg.tx_size;
+  shape.stop_at = cfg.duration;
+  shape.seed = cfg.seed * 1000;
+  const auto clients =
+      add_clients(net, consensus_ids, cfg.n_clients, regions,
+                  clients_broadcast(cfg.protocol), shape, metrics);
 
   // --- Run -------------------------------------------------------------
   net.start();
@@ -306,24 +228,24 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   // Recovery counters, summed across nodes. GC stats come from every
   // layer that prunes below a checkpoint: consensus slot/block logs and
   // (for Predis) the mempool bundle chains.
-  for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
+  for (const ConsensusNode& node : nodes) {
     GcStats gc;
-    if (pbft_cores[i] != nullptr) {
-      result.catch_up_batches += pbft_cores[i]->catch_up_batches();
+    if (node.pbft != nullptr) {
+      result.catch_up_batches += node.pbft->catch_up_batches();
       result.state_transfers +=
-          static_cast<std::size_t>(pbft_cores[i]->state_transfers());
-      result.sync_stalls += pbft_cores[i]->sync_stalls();
-      gc.merge(pbft_cores[i]->gc_stats());
+          static_cast<std::size_t>(node.pbft->state_transfers());
+      result.sync_stalls += node.pbft->sync_stalls();
+      gc.merge(node.pbft->gc_stats());
     }
-    if (hs_cores[i] != nullptr) {
-      result.catch_up_batches += hs_cores[i]->catch_up_batches();
-      result.sync_stalls += hs_cores[i]->sync_stalls();
-      gc.merge(hs_cores[i]->gc_stats());
+    if (node.hotstuff != nullptr) {
+      result.catch_up_batches += node.hotstuff->catch_up_batches();
+      result.sync_stalls += node.hotstuff->sync_stalls();
+      gc.merge(node.hotstuff->gc_stats());
     }
-    if (pools[i] != nullptr) gc.merge(pools[i]->gc_stats());
-    if (engines[i] != nullptr) {
-      result.sync_stalls += engines[i]->fetch_stalls();
-      gc.merge(engines[i]->gc_stats());
+    if (node.pool != nullptr) gc.merge(node.pool->gc_stats());
+    if (node.engine != nullptr) {
+      result.sync_stalls += node.engine->fetch_stalls();
+      gc.merge(node.engine->gc_stats());
     }
     result.gc_bytes += gc.bytes;
     result.gc_items += gc.items;

@@ -59,11 +59,7 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
   ccfg.nodes = consensus_ids;
   ccfg.f = cfg.f;
   ccfg.propose_until = setup + cfg.duration;
-
-  std::vector<PublicKey> keys;
-  for (NodeId id : consensus_ids) {
-    keys.push_back(KeyPair::from_seed(id).public_key());
-  }
+  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
 
   Metrics metrics;
   CommitLedger ledger(metrics);
@@ -163,26 +159,15 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
         announced_at.emplace(block.height, net.now());
       };
 
-  const double per_client =
+  ClientConfig shape;
+  shape.tx_per_second =
       cfg.offered_load_tps / static_cast<double>(cfg.n_clients);
-  std::vector<std::unique_ptr<ClientActor>> clients;
-  for (std::size_t c = 0; c < cfg.n_clients; ++c) {
-    runtime::NodeConfig ncfg;
-    ncfg.region = 0;
-    ncfg.up_bw = 10 * runtime::kBandwidth100Mbps;
-    ncfg.down_bw = 10 * runtime::kBandwidth100Mbps;
-    const NodeId id = net.add_node(ncfg);
-    ClientConfig ccfg2;
-    ccfg2.self = id;
-    ccfg2.targets = {consensus_ids[c % cfg.n_consensus]};
-    ccfg2.tx_per_second = per_client;
-    ccfg2.start_at = setup;
-    ccfg2.stop_at = setup + cfg.duration;
-    ccfg2.record_from = setup + cfg.warmup;
-    ccfg2.seed = cfg.seed * 7919 + c;
-    clients.push_back(std::make_unique<ClientActor>(net, ccfg2, metrics));
-    net.attach(id, clients.back().get());
-  }
+  shape.start_at = setup;
+  shape.stop_at = setup + cfg.duration;
+  shape.record_from = setup + cfg.warmup;
+  shape.seed = cfg.seed * 7919;
+  const auto clients = add_clients(net, consensus_ids, cfg.n_clients, 1,
+                                   /*broadcast=*/false, shape, metrics);
 
   if (cfg.ctx.on_network_ready) {
     cfg.ctx.on_network_ready(net, consensus_ids, full_ids);

@@ -10,10 +10,13 @@
 #pragma once
 
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
+#include "runtime/environments.hpp"
 #include "runtime/runtime.hpp"
 #include "txpool/transaction.hpp"
 
@@ -170,5 +173,33 @@ class ClientActor final : public runtime::Actor {
   // as a member so its capacity is reused across replies.
   std::vector<SimTime> latency_batch_;
 };
+
+/// Adds `n_clients` open-loop clients to `net`, spread round-robin over
+/// `regions`. Client c is `shape` with its own node id, seed
+/// `shape.seed + c` and, as targets, every consensus node (`broadcast`,
+/// the standard BFT client) or consensus node c mod n. Clients are not
+/// the system under test: they get fat pipes so the consensus layer is
+/// the bottleneck, as in the paper's testbed (many client instances).
+inline std::vector<std::unique_ptr<ClientActor>> add_clients(
+    runtime::Runtime& net, const std::vector<NodeId>& consensus,
+    std::size_t n_clients, std::size_t regions, bool broadcast,
+    const ClientConfig& shape, Metrics& metrics) {
+  std::vector<std::unique_ptr<ClientActor>> clients;
+  for (std::size_t c = 0; c < n_clients; ++c) {
+    runtime::NodeConfig ncfg;
+    ncfg.region = static_cast<std::uint32_t>(c % regions);
+    ncfg.up_bw = 10 * runtime::kBandwidth100Mbps;
+    ncfg.down_bw = 10 * runtime::kBandwidth100Mbps;
+    ClientConfig ccfg = shape;
+    ccfg.self = net.add_node(ncfg);
+    ccfg.targets = broadcast ? consensus
+                             : std::vector<NodeId>{
+                                   consensus[c % consensus.size()]};
+    ccfg.seed = shape.seed + c;
+    clients.push_back(std::make_unique<ClientActor>(net, ccfg, metrics));
+    net.attach(ccfg.self, clients.back().get());
+  }
+  return clients;
+}
 
 }  // namespace predis

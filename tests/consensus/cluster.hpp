@@ -50,12 +50,6 @@ struct TestCluster {
     return clients.back().get();
   }
 
-  std::vector<PublicKey> producer_keys() const {
-    std::vector<PublicKey> keys;
-    for (NodeId id : ids) keys.push_back(KeyPair::from_seed(id).public_key());
-    return keys;
-  }
-
   void run_until(SimTime limit) { net.run_until(limit); }
 
   /// Absolute-time convenience for harness-level one-shots.

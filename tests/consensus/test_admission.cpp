@@ -77,7 +77,7 @@ namespace pd = ::predis::consensus::predis;
 struct SoloEngine {
   explicit SoloEngine(pd::FaultMode fault = pd::FaultMode::kNone)
       : ctx(cluster.context(0)),
-        engine(ctx, config(fault), cluster.producer_keys(),
+        engine(ctx, config(fault), producer_keys(cluster.ids),
                KeyPair::from_seed(cluster.ids[0])) {
     engine.set_metrics(&cluster.metrics);
   }
@@ -185,7 +185,7 @@ struct PredisGroup : TestCluster {
   explicit PredisGroup(SimTime ban_duration = 0,
                        SimTime view_timeout = milliseconds(400))
       : TestCluster(4, 1, milliseconds(10), view_timeout) {
-    const auto keys = producer_keys();
+    const auto keys = producer_keys(ids);
     for (std::size_t i = 0; i < 4; ++i) {
       pd::PredisConfig pcfg;
       pcfg.bundle_size = 20;

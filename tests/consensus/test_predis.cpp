@@ -15,7 +15,7 @@ struct PredisCluster : TestCluster {
                          FaultMode fault = FaultMode::kNone,
                          std::size_t n_faulty = 0)
       : TestCluster(n, f) {
-    const auto keys = producer_keys();
+    const auto keys = producer_keys(ids);
     for (std::size_t i = 0; i < n; ++i) {
       PredisConfig pcfg;
       pcfg.bundle_size = 20;
@@ -205,7 +205,7 @@ TEST(PredisEngineValidate, RejectsBlockSignedByNonLeaderKey) {
   // signed it and fail when another consensus node did.
   TestCluster cluster(4, 1);
   NodeContext ctx = cluster.context(1);
-  PredisEngine engine(ctx, PredisConfig{}, cluster.producer_keys(),
+  PredisEngine engine(ctx, PredisConfig{}, producer_keys(cluster.ids),
                       KeyPair::from_seed(cluster.ids[1]));
   const std::vector<BundleHeight> prev(4, 0);
   auto payload_signed_by = [&](NodeId signer) {
@@ -239,7 +239,7 @@ TEST(PredisEngineIngest, BatchReplyStillChecksEveryRoot) {
   // vouches for the headers, not for the bodies under them.
   TestCluster cluster(4, 1);
   NodeContext ctx = cluster.context(0);
-  PredisEngine engine(ctx, PredisConfig{}, cluster.producer_keys(),
+  PredisEngine engine(ctx, PredisConfig{}, producer_keys(cluster.ids),
                       KeyPair::from_seed(cluster.ids[0]));
   const KeyPair key1 = KeyPair::from_seed(cluster.ids[1]);
   Bundle swapped = make_bundle(1, 1, kZeroHash, {0, 1, 0, 0},
@@ -265,7 +265,7 @@ TEST(PredisEngineIngest, OwnBundleStillNeedsTheRegisteredKey) {
   for (const bool registered : {true, false}) {
     TestCluster cluster(4, 1);
     NodeContext ctx = cluster.context(0);
-    PredisEngine engine(ctx, cfg, cluster.producer_keys(),
+    PredisEngine engine(ctx, cfg, producer_keys(cluster.ids),
                         KeyPair::from_seed(registered ? cluster.ids[0]
                                                       : 999));
     engine.enqueue(client_txs(10, 1));  // one full bundle: packed eagerly

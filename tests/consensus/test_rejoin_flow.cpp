@@ -14,7 +14,7 @@ using testing::TestCluster;
 
 struct RejoinCluster : TestCluster {
   explicit RejoinCluster(SimTime ban_duration) : TestCluster(4, 1) {
-    const auto keys = producer_keys();
+    const auto keys = producer_keys(ids);
     for (std::size_t i = 0; i < 4; ++i) {
       PredisConfig pcfg;
       pcfg.bundle_size = 20;

@@ -38,7 +38,7 @@ TEST(StateTransfer, CheckpointsBecomeStableDuringNormalOperation) {
 
 TEST(StateTransfer, RevivedPredisReplicaCatchesUpViaSnapshot) {
   TestCluster cluster(4, 1);
-  const auto keys = cluster.producer_keys();
+  const auto keys = producer_keys(cluster.ids);
   std::vector<std::unique_ptr<predis::PredisPbftNode>> nodes;
   for (std::size_t i = 0; i < 4; ++i) {
     predis::PredisConfig pcfg;

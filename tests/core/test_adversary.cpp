@@ -184,7 +184,7 @@ TEST(HostileInjector, PredisClusterCapsAbsurdHeightFetchSpans) {
   pcfg.bundle_size = 50;
   for (std::size_t i = 0; i < 4; ++i) {
     nodes.push_back(std::make_unique<consensus::predis::PredisPbftNode>(
-        cluster.context(i), pcfg, cluster.producer_keys(),
+        cluster.context(i), pcfg, consensus::producer_keys(cluster.ids),
         KeyPair::from_seed(cluster.ids[i]), cluster.ledger));
     cluster.net.attach(cluster.ids[i], nodes.back().get());
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../consensus/cluster.hpp"
+
 namespace predis::core {
 namespace {
 
@@ -32,6 +34,31 @@ TEST_P(AllProtocols, CommitsOfferedLoadWhenUnderCapacity) {
   EXPECT_GT(r.commit_events, 10u);
 }
 
+// make_consensus_node is the one Protocol -> node-type switch: each
+// protocol gets exactly the typed handles of its node type.
+TEST_P(AllProtocols, FactoryBuildsTheProtocolsNodeType) {
+  const Protocol p = GetParam();
+  consensus::testing::TestCluster cluster(4, 1);
+  ClusterConfig cfg;
+  cfg.protocol = p;
+  const ConsensusNode node = make_consensus_node(
+      cfg, 0, cluster.context(0), consensus::producer_keys(cluster.ids),
+      cluster.ledger, nullptr);
+  const bool predis =
+      p == Protocol::kPredisPbft || p == Protocol::kPredisHotStuff;
+  const bool pbft = p == Protocol::kPbft || p == Protocol::kPredisPbft;
+  EXPECT_NE(node.actor, nullptr);
+  EXPECT_EQ(node.engine != nullptr, predis);
+  EXPECT_EQ(node.pool != nullptr,
+            p == Protocol::kNarwhal || p == Protocol::kStratus);
+  EXPECT_EQ(node.pbft != nullptr, pbft);
+  EXPECT_EQ(node.hotstuff != nullptr, !pbft);
+}
+
+TEST_P(AllProtocols, ProtocolFlagRoundTrips) {
+  EXPECT_EQ(parse_protocol(protocol_flag(GetParam())), GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllProtocols,
     ::testing::Values(Protocol::kPbft, Protocol::kHotStuff,
@@ -44,6 +71,34 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(Experiment, ParsesThePredisAliasAndRejectsUnknownNames) {
+  EXPECT_EQ(parse_protocol("predis"), Protocol::kPredisPbft);
+  EXPECT_FALSE(parse_protocol("protcol").has_value());
+}
+
+// Fig. 6 fault injection: only the last n_faulty nodes run the fault
+// mode, and every engine carries the run's seed.
+TEST(Experiment, FactoryFaultsOnlyTheLastNodes) {
+  consensus::testing::TestCluster cluster(4, 1);
+  ClusterConfig cfg;
+  cfg.protocol = Protocol::kPredisPbft;
+  cfg.n_faulty = 1;
+  cfg.fault_mode = consensus::predis::FaultMode::kSilent;
+  cfg.seed = 77;
+  const auto keys = consensus::producer_keys(cluster.ids);
+  std::vector<ConsensusNode> nodes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    nodes.push_back(make_consensus_node(cfg, i, cluster.context(i), keys,
+                                        cluster.ledger, nullptr));
+    ASSERT_NE(nodes.back().engine, nullptr);
+    const auto& engine_cfg = nodes.back().engine->config();
+    EXPECT_EQ(engine_cfg.fault, i == 3 ? cfg.fault_mode
+                                       : consensus::predis::FaultMode::kNone)
+        << "node " << i;
+    EXPECT_EQ(engine_cfg.seed, cfg.seed);
+  }
+}
 
 // The paper's core claim (Fig. 4): under load beyond the baselines'
 // capacity, Predis variants sustain far higher throughput.

@@ -16,10 +16,6 @@
 #include <map>
 
 #include "../consensus/cluster.hpp"
-#include "consensus/hotstuff/hotstuff_node.hpp"
-#include "consensus/narwhal/shared_mempool.hpp"
-#include "consensus/pbft/pbft_node.hpp"
-#include "consensus/predis/predis_nodes.hpp"
 #include "core/experiment.hpp"
 #include "core/ledger.hpp"
 
@@ -40,22 +36,29 @@ constexpr SimTime kRestartAt = milliseconds(1000);
 struct RootCluster {
   RootCluster(Protocol protocol, std::size_t observed)
       : cluster(kN, kF), ledgers(kN) {
-    const auto keys = cluster.producer_keys();
+    ClusterConfig cfg;
+    cfg.protocol = protocol;
+    cfg.n_consensus = kN;
+    cfg.f = kF;
+    const auto keys = consensus::producer_keys(cluster.ids);
     for (std::size_t i = 0; i < kN; ++i) {
-      auto node = make_node(protocol, i, keys);
-      cluster.net.attach(cluster.ids[i], node.get());
-      nodes.push_back(std::move(node));
+      auto& ledger = ledgers[i];
+      auto record = [&ledger](const Hash32& digest, const Hash32& tx_root,
+                              std::size_t tx_count, SimTime when) {
+        ledger.append_block(digest, tx_root, tx_count, when);
+      };
+      nodes.push_back(make_consensus_node(cfg, i, cluster.context(i), keys,
+                                          cluster.ledger, nullptr, record));
     }
     // Pad the id space so the client's id maps to the observed node.
     NodeId pad = cluster.net.add_node(runtime::node_100mbps(0));
     while ((pad + 1) % kN != observed) {
       pad = cluster.net.add_node(runtime::node_100mbps(0));
     }
-    const bool broadcast =
-        protocol == Protocol::kPbft || protocol == Protocol::kHotStuff;
     // Node 1 is never crashed below, so Predis-style load keeps flowing.
-    std::vector<NodeId> targets =
-        broadcast ? cluster.ids : std::vector<NodeId>{cluster.ids[1]};
+    std::vector<NodeId> targets = clients_broadcast(protocol)
+                                      ? cluster.ids
+                                      : std::vector<NodeId>{cluster.ids[1]};
     client = cluster.add_client(std::move(targets), 1500, seconds(3))->id();
     const NodeId observed_id = cluster.ids[observed];
     cluster.net.set_drop_filter([this, observed_id](
@@ -72,54 +75,6 @@ struct RootCluster {
       }
       return false;
     });
-  }
-
-  std::unique_ptr<runtime::Actor> make_node(
-      Protocol protocol, std::size_t i, const std::vector<PublicKey>& keys) {
-    consensus::NodeContext ctx = cluster.context(i);
-    auto& ledger = ledgers[i];
-    auto record = [&ledger](const Hash32& digest, const Hash32& tx_root,
-                            std::size_t tx_count, SimTime when) {
-      ledger.append_block(digest, tx_root, tx_count, when);
-    };
-    const KeyPair own = KeyPair::from_seed(cluster.ids[i]);
-    namespace pd = consensus::predis;
-    switch (protocol) {
-      case Protocol::kPbft: {
-        auto node = std::make_unique<consensus::pbft::PbftNode>(
-            ctx, consensus::pbft::PbftNodeConfig{}, cluster.ledger);
-        node->on_committed_block = record;
-        return node;
-      }
-      case Protocol::kHotStuff: {
-        auto node = std::make_unique<consensus::hotstuff::HotStuffNode>(
-            ctx, consensus::hotstuff::HotStuffNodeConfig{}, cluster.ledger);
-        node->on_committed_block = record;
-        return node;
-      }
-      case Protocol::kPredisPbft: {
-        auto node = std::make_unique<pd::PredisPbftNode>(
-            ctx, pd::PredisConfig{}, keys, own, cluster.ledger);
-        node->on_committed_block = record;
-        return node;
-      }
-      case Protocol::kPredisHotStuff: {
-        auto node = std::make_unique<pd::PredisHotStuffNode>(
-            ctx, pd::PredisConfig{}, keys, own, cluster.ledger);
-        node->on_committed_block = record;
-        return node;
-      }
-      case Protocol::kNarwhal:
-      case Protocol::kStratus: {
-        consensus::narwhal::SharedMempoolConfig ncfg;
-        ncfg.ack_quorum = protocol == Protocol::kNarwhal ? kN - kF : kF + 1;
-        auto node = std::make_unique<consensus::narwhal::SharedMempoolNode>(
-            ctx, ncfg, cluster.ledger);
-        node->on_committed_block = record;
-        return node;
-      }
-    }
-    return nullptr;
   }
 
   void run(Scenario scenario) {
@@ -142,7 +97,7 @@ struct RootCluster {
 
   TestCluster cluster;
   std::vector<Ledger> ledgers;
-  std::vector<std::unique_ptr<runtime::Actor>> nodes;
+  std::vector<ConsensusNode> nodes;
   NodeId client = kNoNode;
   std::map<TxSeq, Transaction> submitted;
   std::vector<std::vector<TxSeq>> replies;  ///< Observed node, in order.

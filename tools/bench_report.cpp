@@ -14,8 +14,6 @@
 //   --out-dir  directory for the JSON files (default: cwd)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <optional>
 #include <string>
@@ -25,6 +23,7 @@
 #include "common/rng.hpp"
 #include "common/sha256_kernels.hpp"
 #include "erasure/stripe_codec.hpp"
+#include "report.hpp"
 
 // Prevents the optimizer from deleting measured work; never read back.
 volatile std::size_t benchmark_sink_slot = 0;
@@ -41,6 +40,7 @@ using predis::MerkleTree;
 using predis::MutBytesView;
 using predis::Rng;
 using predis::Sha256;
+using predis::tools::JsonWriter;
 // predis-lint: allow(D2): wall-clock is the point of a host benchmark.
 using Clock = std::chrono::steady_clock;
 
@@ -112,47 +112,11 @@ std::vector<Bytes> baseline_encode(const predis::erasure::ReedSolomon& rs,
   return shards;
 }
 
-struct JsonWriter {
-  std::string buf;
-  void raw(const std::string& s) { buf += s; }
-  void kv(const char* key, double v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %.3f%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, std::size_t v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %zu%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, const char* v, bool comma = true) {
-    buf += std::string("\"") + key + "\": \"" + v + "\"" +
-           (comma ? ", " : "");
-  }
-  void kv(const char* key, bool v, bool comma = true) {
-    buf += std::string("\"") + key + "\": " + (v ? "true" : "false") +
-           (comma ? ", " : "");
-  }
-};
-
 struct Shape {
   std::size_t k;
   std::size_t n;
   std::size_t payload;
 };
-
-int write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_report: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << content;
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
-}
 
 int emit_erasure(const std::string& dir, bool smoke, double budget_ms) {
   using predis::erasure::GF256;
@@ -257,7 +221,8 @@ int emit_erasure(const std::string& dir, bool smoke, double budget_ms) {
     j.raw(s + 1 < lens.size() ? "},\n" : "}\n");
   }
   j.raw("  ]\n}\n");
-  return write_file(dir + "/BENCH_erasure.json", j.buf);
+  return predis::tools::write_file("bench_report", dir + "/BENCH_erasure.json",
+                                   j.buf);
 }
 
 int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
@@ -421,25 +386,18 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
     j.raw(i + 1 < entries.size() ? "},\n" : "}\n");
   }
   j.raw("  ]\n}\n");
-  return write_file(dir + "/BENCH_micro.json", j.buf);
+  return predis::tools::write_file("bench_report", dir + "/BENCH_micro.json",
+                                   j.buf);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out-dir" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out-dir DIR]\n", argv[0]);
-      return 2;
-    }
-  }
+  const predis::tools::Args args = predis::tools::parse_args(
+      argc, argv, 1, {"smoke", "out-dir="},
+      "usage: bench_report [--smoke] [--out-dir DIR]\n");
+  const bool smoke = args.flag("smoke");
+  const std::string out_dir = args.get("out-dir", ".");
   const double budget_ms = smoke ? 10.0 : 250.0;
   int rc = emit_erasure(out_dir, smoke, budget_ms);
   rc |= emit_micro(out_dir, smoke, budget_ms);

@@ -3,68 +3,53 @@
 // rule catalogue). Exit code 0 = clean, 1 = findings (or stale
 // suppressions under --strict), 2 = usage error.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "../report.hpp"
 #include "linter.hpp"
 
 namespace {
 
-void usage() {
-  std::printf(
-      "usage: predis-lint [options] <path>...\n"
-      "\n"
-      "Walks .cpp/.hpp files under each path and enforces the project\n"
-      "determinism & protocol-safety rules (D1-D9, S1).\n"
-      "\n"
-      "options:\n"
-      "  --json              emit the versioned predis-lint/2 report\n"
-      "  --strict            stale suppressions (S1) become errors\n"
-      "  --jobs N            worker threads (0 = auto); output is\n"
-      "                      deterministic either way\n"
-      "  --list-rules        print the rule catalogue and exit\n"
-      "  --include-fixtures  also scan lint_fixtures directories\n"
-      "                      (self-test; they contain intentional\n"
-      "                      violations)\n"
-      "  -h, --help          this text\n");
-}
+constexpr const char* kUsage =
+    "usage: predis-lint [options] <path>...\n"
+    "\n"
+    "Walks .cpp/.hpp files under each path and enforces the project\n"
+    "determinism & protocol-safety rules (D1-D9, S1).\n"
+    "\n"
+    "options:\n"
+    "  --json              emit the versioned predis-lint/2 report\n"
+    "  --strict            stale suppressions (S1) become errors\n"
+    "  --jobs N            worker threads (0 = auto); output is\n"
+    "                      deterministic either way\n"
+    "  --list-rules        print the rule catalogue and exit\n"
+    "  --include-fixtures  also scan lint_fixtures directories\n"
+    "                      (self-test; they contain intentional\n"
+    "                      violations)\n"
+    "  -h, --help          this text\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  predis::lint::Options options;
-  std::vector<std::string> roots;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--strict") {
-      options.strict = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--list-rules") {
-      std::fputs(predis::lint::rule_catalogue(), stdout);
-      return 0;
-    } else if (arg == "--include-fixtures") {
-      options.include_fixtures = true;
-    } else if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "predis-lint: unknown option %s\n", arg.c_str());
-      return 2;
-    } else {
-      roots.push_back(arg);
-    }
+  const predis::tools::Args args = predis::tools::parse_args(
+      argc, argv, 1,
+      {"json", "strict", "jobs=", "list-rules", "include-fixtures"}, kUsage,
+      /*takes_paths=*/true);
+  if (args.flag("list-rules")) {
+    std::fputs(predis::lint::rule_catalogue(), stdout);
+    return 0;
   }
+  const bool json = args.flag("json");
+  predis::lint::Options options;
+  options.strict = args.flag("strict");
+  options.jobs = static_cast<unsigned>(args.num("jobs", 0));
+  options.include_fixtures = args.flag("include-fixtures");
+  const std::vector<std::string>& roots = args.paths;
   if (roots.empty()) {
-    usage();
+    std::fputs(kUsage, stderr);
     return 2;
   }
-
   try {
     const auto files = predis::lint::collect_sources(roots, options);
     const auto report = predis::lint::lint_tree(files, options);

@@ -11,82 +11,41 @@
 //
 // Exit status is non-zero on inconsistent ledgers, so the tool can act
 // as a scriptable safety check.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 
 #include "core/experiment.hpp"
 #include "multizone/experiments.hpp"
+#include "report.hpp"
 
 namespace {
 
 using namespace predis;
+using tools::Args;
+using tools::json_ms;
 
-struct Args {
-  std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.count(name) != 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  double num(const std::string& name, double fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::atof(it->second.c_str());
-  }
-};
-
-Args parse(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "1";
-    }
-  }
-  return args;
-}
+constexpr const char* kUsage =
+    "predis-sim — Predis / Multi-Zone simulation driver\n"
+    "\n"
+    "  predis-sim cluster [--protocol pbft|hotstuff|p-pbft|p-hs|narwhal|stratus]\n"
+    "                     [--nodes N] [--load TPS] [--wan] [--batch N]\n"
+    "                     [--bundle N] [--duration S] [--faulty N]\n"
+    "                     [--fault silent|withhold] [--seed N] [--json]\n"
+    "  predis-sim distribution [--topology star|multi-zone] [--nodes N]\n"
+    "                     [--full-nodes N] [--zones N] [--load TPS]\n"
+    "                     [--duration S] [--seed N] [--json]\n"
+    "  predis-sim propagation [--topology star|random|multi-zone]\n"
+    "                     [--nodes N] [--block-mb N] [--blocks N]\n"
+    "                     [--full-nodes N] [--zones N] [--seed N] [--json]\n";
 
 int usage() {
-  std::puts(
-      "predis-sim — Predis / Multi-Zone simulation driver\n"
-      "\n"
-      "  predis-sim cluster [--protocol pbft|hotstuff|p-pbft|p-hs|narwhal|stratus]\n"
-      "                     [--nodes N] [--load TPS] [--wan] [--batch N]\n"
-      "                     [--bundle N] [--duration S] [--faulty N]\n"
-      "                     [--fault silent|withhold] [--seed N] [--json]\n"
-      "  predis-sim distribution [--topology star|multi-zone] [--nodes N]\n"
-      "                     [--full-nodes N] [--zones N] [--load TPS] [--json]\n"
-      "  predis-sim propagation [--topology star|random|multi-zone]\n"
-      "                     [--block-mb N] [--full-nodes N] [--zones N] [--json]\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
-/// A latency figure for JSON: null when the run recorded no samples.
-std::string json_ms(double ms, std::uint64_t samples) {
-  if (samples == 0) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", ms);
-  return buf;
-}
-
-std::optional<core::Protocol> parse_protocol(const std::string& name) {
-  if (name == "pbft") return core::Protocol::kPbft;
-  if (name == "hotstuff") return core::Protocol::kHotStuff;
-  if (name == "p-pbft") return core::Protocol::kPredisPbft;
-  if (name == "p-hs") return core::Protocol::kPredisHotStuff;
-  if (name == "narwhal") return core::Protocol::kNarwhal;
-  if (name == "stratus") return core::Protocol::kStratus;
-  return std::nullopt;
-}
-
 int run_cluster_cmd(const Args& args) {
-  const auto protocol = parse_protocol(args.get("protocol", "p-pbft"));
+  const auto protocol = core::parse_protocol(args.get("protocol", "p-pbft"));
   if (!protocol) {
     std::fprintf(stderr, "unknown --protocol\n");
     return usage();
@@ -124,9 +83,9 @@ int run_cluster_cmd(const Args& args) {
         "\"shed_unconfirmed_txs\":%llu}\n",
         core::to_string(cfg.protocol), cfg.n_consensus,
         cfg.wan ? "true" : "false", cfg.offered_load_tps, r.throughput_tps,
-        json_ms(r.avg_latency_ms, r.latency_samples).c_str(),
-        json_ms(r.p50_latency_ms, r.latency_samples).c_str(),
-        json_ms(r.p99_latency_ms, r.latency_samples).c_str(),
+        json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
+        json_ms(r.p50_latency_ms, r.latency_samples, 2).c_str(),
+        json_ms(r.p99_latency_ms, r.latency_samples, 2).c_str(),
         static_cast<unsigned long long>(r.committed_txs), r.commit_events,
         r.consistent ? "true" : "false",
         r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps,
@@ -183,7 +142,7 @@ int run_distribution_cmd(const Args& args) {
         "\"consistent\":%s}\n",
         multizone::to_string(cfg.topology), cfg.n_full, cfg.n_zones,
         r.throughput_tps,
-        json_ms(r.avg_latency_ms, r.latency_samples).c_str(),
+        json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
         r.full_node_coverage,
         r.relayers_seen, r.consensus_uplink_mbps,
         r.consistent ? "true" : "false");
@@ -244,9 +203,26 @@ int run_propagation_cmd(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args = parse(argc, argv, 2);
-  if (command == "cluster") return run_cluster_cmd(args);
-  if (command == "distribution") return run_distribution_cmd(args);
-  if (command == "propagation") return run_propagation_cmd(args);
+  if (command == "cluster") {
+    return run_cluster_cmd(tools::parse_args(
+        argc, argv, 2,
+        {"protocol=", "nodes=", "load=", "wan", "batch=", "bundle=",
+         "duration=", "faulty=", "fault=", "seed=", "json"},
+        kUsage));
+  }
+  if (command == "distribution") {
+    return run_distribution_cmd(tools::parse_args(
+        argc, argv, 2,
+        {"topology=", "nodes=", "full-nodes=", "zones=", "load=",
+         "duration=", "seed=", "json"},
+        kUsage));
+  }
+  if (command == "propagation") {
+    return run_propagation_cmd(tools::parse_args(
+        argc, argv, 2,
+        {"topology=", "nodes=", "full-nodes=", "zones=", "block-mb=",
+         "blocks=", "seed=", "json"},
+        kUsage));
+  }
   return usage();
 }

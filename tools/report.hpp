@@ -1,0 +1,136 @@
+// Plumbing shared by the command-line tools: option parsing, the JSON
+// writer behind the BENCH_*.json reports, and checked report output.
+#pragma once
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <initializer_list>
+#include <map>
+#include <string>
+#include <vector>
+
+namespace predis::tools {
+
+/// Parsed `--name value` and `--flag` options, plus the plain words of
+/// a tool that takes paths.
+struct Args {
+  std::map<std::string, std::string> named;
+  std::vector<std::string> paths;
+
+  bool flag(const std::string& name) const { return named.count(name) != 0; }
+  std::string get(const std::string& name, const std::string& fallback) const {
+    const auto it = named.find(name);
+    return it == named.end() ? fallback : it->second;
+  }
+  double num(const std::string& name, double fallback) const {
+    const auto it = named.find(name);
+    return it == named.end() ? fallback : std::atof(it->second.c_str());
+  }
+};
+
+/// Parses argv[first..argc) against the options a tool takes, named
+/// without their dashes; a trailing '=' marks one that takes a value
+/// ("out-dir="). Plain words are `paths` when `takes_paths`. An
+/// unlisted option, a missing value, any other word or an `--out-dir`
+/// that is not an existing directory prints `usage` to stderr and exits
+/// 2, so a mistyped command never runs the defaults. `-h`/`--help`
+/// prints `usage` to stdout and exits 0.
+inline Args parse_args(int argc, char** argv, int first,
+                       std::initializer_list<const char*> options,
+                       const char* usage, bool takes_paths = false) {
+  const auto fail = [usage](const std::string& why) {
+    std::fprintf(stderr, "%s\n\n%s", why.c_str(), usage);
+    std::exit(2);
+  };
+  Args args;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "-h" || arg == "--help") {
+      std::fputs(usage, stdout);
+      std::exit(0);
+    }
+    if (arg.rfind("--", 0) != 0) {
+      if (!takes_paths || arg.rfind('-', 0) == 0) {
+        fail("unexpected argument: " + arg);
+      }
+      args.paths.push_back(arg);
+      continue;
+    }
+    const std::string name = arg.substr(2);
+    bool known = false;
+    bool takes_value = false;
+    for (const std::string option : options) {
+      takes_value = option == name + "=";
+      known = takes_value || option == name;
+      if (known) break;
+    }
+    if (!known) fail("unknown option: " + arg);
+    if (!takes_value) {
+      args.named[name] = "1";
+    } else if (i + 1 < argc) {
+      args.named[name] = argv[++i];
+    } else {
+      fail("missing value for " + arg);
+    }
+  }
+  if (args.flag("out-dir") &&
+      !std::filesystem::is_directory(args.get("out-dir", ""))) {
+    fail("--out-dir " + args.get("out-dir", "") + " is not a directory");
+  }
+  return args;
+}
+
+/// Writes `content` to `path` and reports it on stdout. Returns 0, or
+/// 1 after naming `tool` and the path on stderr if the write failed.
+inline int write_file(const char* tool, const std::string& path,
+                      const std::string& content) {
+  std::ofstream out(path);
+  out << content;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
+}
+
+/// A latency figure for JSON: null when the run recorded no samples.
+inline std::string json_ms(double ms, std::uint64_t samples, int precision) {
+  if (samples == 0) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, ms);
+  return buf;
+}
+
+/// Appends `"key": value, ` pairs (the last of an object passes
+/// comma = false) to the report being built in `buf`.
+struct JsonWriter {
+  std::string buf;
+  void raw(const std::string& s) { buf += s; }
+  void kv(const char* key, double v, bool comma = true) {
+    char tmp[96];
+    std::snprintf(tmp, sizeof(tmp), "\"%s\": %.3f%s", key, v,
+                  comma ? ", " : "");
+    buf += tmp;
+  }
+  void kv(const char* key, std::size_t v, bool comma = true) {
+    char tmp[96];
+    std::snprintf(tmp, sizeof(tmp), "\"%s\": %zu%s", key, v,
+                  comma ? ", " : "");
+    buf += tmp;
+  }
+  void kv(const char* key, const char* v, bool comma = true) {
+    buf += std::string("\"") + key + "\": \"" + v + "\"" +
+           (comma ? ", " : "");
+  }
+  void kv(const char* key, bool v, bool comma = true) {
+    buf += std::string("\"") + key + "\": " + (v ? "true" : "false") +
+           (comma ? ", " : "");
+  }
+};
+
+}  // namespace predis::tools

@@ -23,8 +23,6 @@
 //   --workers  worker threads for the wall-clock backend (default 4)
 //   --out-dir  directory for BENCH_runtime.json (default: cwd)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +31,11 @@
 #include "multizone/experiments.hpp"
 #include "runtime/environments.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "report.hpp"
 
 namespace {
+
+using predis::tools::json_ms;
 
 struct RunNumbers {
   std::string scenario;
@@ -127,14 +128,6 @@ std::unique_ptr<predis::runtime::ThreadRuntime> make_wall_backend(
   return std::make_unique<predis::runtime::ThreadRuntime>(tcfg);
 }
 
-/// A latency figure: null when the run recorded no samples.
-std::string json_ms(double ms, std::uint64_t samples) {
-  if (samples == 0) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  return buf;
-}
-
 void append_json(std::string& out, const RunNumbers& n, bool last) {
   char tmp[512];
   std::snprintf(
@@ -144,8 +137,8 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
       "\"p99_latency_ms\": %s, \"latency_samples\": %llu, "
       "\"committed_txs\": %llu, \"consistent\": %s}%s\n",
       n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-      n.throughput_tps, json_ms(n.p50_latency_ms, n.latency_samples).c_str(),
-      json_ms(n.p99_latency_ms, n.latency_samples).c_str(),
+      n.throughput_tps, json_ms(n.p50_latency_ms, n.latency_samples, 3).c_str(),
+      json_ms(n.p99_latency_ms, n.latency_samples, 3).c_str(),
       static_cast<unsigned long long>(n.latency_samples),
       static_cast<unsigned long long>(n.committed_txs),
       n.consistent ? "true" : "false", last ? "" : ",");
@@ -155,26 +148,13 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool strict = false;
-  std::size_t workers = 4;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: runtime_report [--smoke] [--strict] "
-                   "[--workers N] [--out-dir DIR]\n");
-      return 2;
-    }
-  }
+  const predis::tools::Args args = predis::tools::parse_args(
+      argc, argv, 1, {"smoke", "strict", "workers=", "out-dir="},
+      "usage: runtime_report [--smoke] [--strict] [--workers N] "
+      "[--out-dir DIR]\n");
+  const bool smoke = args.flag("smoke");
+  const bool strict = args.flag("strict");
+  std::size_t workers = static_cast<std::size_t>(args.num("workers", 4));
   if (workers < 4) workers = 4;  // The report's contract: >= 4 real cores.
 
   std::vector<RunNumbers> runs;
@@ -225,11 +205,10 @@ int main(int argc, char** argv) {
     append_json(json, runs[i], i + 1 == runs.size());
   }
   json += "  ]\n}\n";
-  const std::string path = out_dir + "/BENCH_runtime.json";
-  std::ofstream out(path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", path.c_str());
+  const int write_rc = predis::tools::write_file(
+      "runtime_report", args.get("out-dir", ".") + "/BENCH_runtime.json",
+      json);
+  if (write_rc != 0) return write_rc;
 
   if (strict && !ok) {
     std::fprintf(stderr, "runtime_report: FAILURES (see above)\n");

@@ -13,13 +13,10 @@
 // Every run records a trace digest — a running SHA-256 over the full
 // message-delivery sequence — so `--verify-determinism` can prove that
 // re-running a seed replays the run byte-for-byte.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,94 +24,45 @@
 #include "common/log.hpp"
 #include "common/sha256.hpp"
 #include "core/swarm.hpp"
+#include "report.hpp"
 
 namespace {
 
 using namespace predis;
 
-struct Args {
-  std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.count(name) != 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  double num(const std::string& name, double fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : std::atof(it->second.c_str());
-  }
-};
-
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "1";
-    }
-  }
-  return args;
-}
+constexpr const char* kUsage =
+    "swarm — deterministic fault-schedule swarm runner\n"
+    "\n"
+    "  swarm [--seeds N] [--seed-base S] [--threads N]\n"
+    "        [--protocol pbft|hotstuff|p-pbft|predis|p-hs|narwhal|stratus]\n"
+    "        [--nodes N] [--load TPS] [--duration S] [--events N]\n"
+    "        [--lan] [--no-equivocation] [--verify-determinism]\n"
+    "        [--verbose]\n"
+    "\n"
+    "Runs one simulation per seed in [seed-base, seed-base + seeds) with\n"
+    "a seed-derived fault schedule and all safety invariants armed.\n"
+    "Exit 0 = every seed clean; exit 1 = first violating seed reported\n"
+    "with a repro command.\n";
 
 int usage() {
-  std::puts(
-      "swarm — deterministic fault-schedule swarm runner\n"
-      "\n"
-      "  swarm [--seeds N] [--seed-base S] [--threads N]\n"
-      "        [--protocol pbft|hotstuff|p-pbft|predis|p-hs|narwhal|stratus]\n"
-      "        [--nodes N] [--load TPS] [--duration S] [--events N]\n"
-      "        [--lan] [--no-equivocation] [--verify-determinism]\n"
-      "        [--verbose]\n"
-      "\n"
-      "Runs one simulation per seed in [seed-base, seed-base + seeds) with\n"
-      "a seed-derived fault schedule and all safety invariants armed.\n"
-      "Exit 0 = every seed clean; exit 1 = first violating seed reported\n"
-      "with a repro command.\n");
+  std::fputs(kUsage, stderr);
   return 2;
-}
-
-std::optional<core::Protocol> parse_protocol(const std::string& name) {
-  if (name == "pbft") return core::Protocol::kPbft;
-  if (name == "hotstuff") return core::Protocol::kHotStuff;
-  if (name == "p-pbft" || name == "predis") return core::Protocol::kPredisPbft;
-  if (name == "p-hs") return core::Protocol::kPredisHotStuff;
-  if (name == "narwhal") return core::Protocol::kNarwhal;
-  if (name == "stratus") return core::Protocol::kStratus;
-  return std::nullopt;
-}
-
-const char* protocol_flag(core::Protocol p) {
-  switch (p) {
-    case core::Protocol::kPbft:
-      return "pbft";
-    case core::Protocol::kHotStuff:
-      return "hotstuff";
-    case core::Protocol::kPredisPbft:
-      return "p-pbft";
-    case core::Protocol::kPredisHotStuff:
-      return "p-hs";
-    case core::Protocol::kNarwhal:
-      return "narwhal";
-    case core::Protocol::kStratus:
-      return "stratus";
-  }
-  return "?";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
-  if (args.flag("help") || args.flag("h")) return usage();
+  const tools::Args args = tools::parse_args(
+      argc, argv, 1,
+      {"seeds=", "seed-base=", "threads=", "protocol=", "nodes=", "load=",
+       "duration=", "events=", "lan", "no-equivocation",
+       "verify-determinism", "verbose"},
+      kUsage);
   // Banned/equivocating producers spam warnings by design; a swarm run
   // cares about invariants, not per-run engine chatter.
   if (!args.flag("verbose")) set_log_level(LogLevel::kError);
 
-  const auto protocol = parse_protocol(args.get("protocol", "p-pbft"));
+  const auto protocol = core::parse_protocol(args.get("protocol", "p-pbft"));
   if (!protocol) {
     std::fprintf(stderr, "unknown --protocol\n");
     return usage();
@@ -235,7 +183,7 @@ int main(int argc, char** argv) {
     std::fputs(first->report.c_str(), stdout);
     std::printf("\nrepro: swarm --protocol %s --nodes %zu --seed-base %llu "
                 "--seeds 1 --verbose\n",
-                protocol_flag(base.protocol), base.n_consensus,
+                core::protocol_flag(base.protocol), base.n_consensus,
                 static_cast<unsigned long long>(first->seed));
     return 1;
   }

@@ -17,8 +17,6 @@
 //              schema hole (a scenario missing its expected stages)
 //   --out-dir  directory for BENCH_latency.json (default: cwd)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "common/metrics_registry.hpp"
 #include "core/experiment.hpp"
 #include "multizone/experiments.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -33,31 +32,7 @@ using predis::BlockTracer;
 using predis::MetricsRegistry;
 using predis::TraceAnomaly;
 using predis::TraceStageStats;
-
-struct JsonWriter {
-  std::string buf;
-  void raw(const std::string& s) { buf += s; }
-  void kv(const char* key, double v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %.3f%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, std::size_t v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %zu%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, const char* v, bool comma = true) {
-    buf += std::string("\"") + key + "\": \"" + v + "\"" +
-           (comma ? ", " : "");
-  }
-  void kv(const char* key, bool v, bool comma = true) {
-    buf += std::string("\"") + key + "\": " + (v ? "true" : "false") +
-           (comma ? ", " : "");
-  }
-};
+using predis::tools::JsonWriter;
 
 /// One protocol family's run reduced to what the report needs.
 struct Scenario {
@@ -308,37 +283,15 @@ bool selftest_stalled_block() {
   return count_kinds(as, TraceAnomaly::Kind::kStalledBlock, 1);
 }
 
-int write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "trace_report: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << content;
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool strict = false;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: trace_report [--smoke] [--strict] "
-                   "[--out-dir DIR]\n");
-      return 2;
-    }
-  }
+  const predis::tools::Args args = predis::tools::parse_args(
+      argc, argv, 1, {"smoke", "strict", "out-dir="},
+      "usage: trace_report [--smoke] [--strict] [--out-dir DIR]\n");
+  const bool smoke = args.flag("smoke");
+  const bool strict = args.flag("strict");
+  const std::string out_dir = args.get("out-dir", ".");
 
   const bool st_reban = selftest_reban_storm();
   const bool st_spiral = selftest_pull_spiral();
@@ -384,7 +337,8 @@ int main(int argc, char** argv) {
   }
   j.raw("  ]\n}\n");
 
-  const int write_rc = write_file(out_dir + "/BENCH_latency.json", j.buf);
+  const int write_rc = predis::tools::write_file(
+      "trace_report", out_dir + "/BENCH_latency.json", j.buf);
 
   const bool selftests_ok = st_reban && st_spiral && st_stall;
   std::printf("\nsummary: selftest %s, %zu live anomalies, schema %s\n",
