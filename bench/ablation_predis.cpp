@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
+#include "report.hpp"
 
 using namespace predis;
 using namespace predis::core;
@@ -52,8 +53,9 @@ int main() {
                           Variant{"all nodes (f_cut=0)", 0},
                           Variant{"leader-only (f_cut=3)", 3}}) {
     const ClusterResult r = run(v.cut_f, 50, milliseconds(25), load);
-    std::printf("%-22s tput=%7.0f lat_ms=%7.1f p99=%7.1f%s\n", v.name,
-                r.throughput_tps, r.avg_latency_ms, r.p99_latency_ms,
+    std::printf("%-22s tput=%7.0f lat_ms=%7s p99=%7s%s\n", v.name,
+                r.throughput_tps, tools::table_ms(r, r.avg_latency_ms).c_str(),
+                tools::table_ms(r, r.p99_latency_ms).c_str(),
                 r.consistent ? "" : "  !!INCONSISTENT");
   }
 
@@ -70,9 +72,10 @@ int main() {
     cfg.duration = seconds(12);
     cfg.warmup = seconds(4);
     const ClusterResult r = run_cluster(cfg);
-    std::printf("window=%-2llu tput=%7.0f lat_ms=%7.1f p99=%7.1f%s\n",
+    std::printf("window=%-2llu tput=%7.0f lat_ms=%7s p99=%7s%s\n",
                 static_cast<unsigned long long>(window), r.throughput_tps,
-                r.avg_latency_ms, r.p99_latency_ms,
+                tools::table_ms(r, r.avg_latency_ms).c_str(),
+                tools::table_ms(r, r.p99_latency_ms).c_str(),
                 r.consistent && r.ledgers_consistent ? ""
                                                      : "  !!INCONSISTENT");
   }
@@ -83,9 +86,10 @@ int main() {
                              milliseconds(100)}) {
       const ClusterResult r = run(kDefault, bundle, interval, load);
       std::printf(
-          "bundle=%-4zu interval=%3lldms tput=%7.0f lat_ms=%7.1f p99=%7.1f\n",
+          "bundle=%-4zu interval=%3lldms tput=%7.0f lat_ms=%7s p99=%7s\n",
           bundle, static_cast<long long>(interval / 1'000'000),
-          r.throughput_tps, r.avg_latency_ms, r.p99_latency_ms);
+          r.throughput_tps, tools::table_ms(r, r.avg_latency_ms).c_str(),
+          tools::table_ms(r, r.p99_latency_ms).c_str());
     }
   }
   return 0;

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
+#include "report.hpp"
 
 using namespace predis;
 using namespace predis::core;
@@ -39,8 +40,9 @@ void sweep(const char* label, Protocol p, std::size_t n, std::size_t batch,
            std::size_t bundle, const std::vector<double>& loads) {
   for (double load : loads) {
     const ClusterResult r = run(p, n, load, batch, bundle);
-    std::printf("%-24s n=%-2zu offered=%7.0f tput=%7.0f lat_ms=%7.1f%s\n",
-                label, n, load, r.throughput_tps, r.avg_latency_ms,
+    std::printf("%-24s n=%-2zu offered=%7.0f tput=%7.0f lat_ms=%7s%s\n",
+                label, n, load, r.throughput_tps,
+                tools::table_ms(r, r.avg_latency_ms).c_str(),
                 r.consistent ? "" : "  !!INCONSISTENT");
   }
 }

@@ -11,6 +11,7 @@
 #include "bundle/predis_block.hpp"
 #include "consensus/narwhal/shared_mempool.hpp"
 #include "core/experiment.hpp"
+#include "report.hpp"
 
 using namespace predis;
 using namespace predis::core;
@@ -32,9 +33,11 @@ void sweep(const char* env, bool wan, Protocol p, const char* label,
     cfg.duration = seconds(12);
     cfg.warmup = seconds(4);
     const ClusterResult r = run_cluster(cfg);
-    std::printf("%-4s %-8s offered=%7.0f tput=%7.0f lat_ms=%7.1f p99=%7.1f%s\n",
-                env, label, load, r.throughput_tps, r.avg_latency_ms,
-                r.p99_latency_ms, r.consistent ? "" : "  !!INCONSISTENT");
+    std::printf("%-4s %-8s offered=%7.0f tput=%7.0f lat_ms=%7s p99=%7s%s\n",
+                env, label, load, r.throughput_tps,
+                tools::table_ms(r, r.avg_latency_ms).c_str(),
+                tools::table_ms(r, r.p99_latency_ms).c_str(),
+                r.consistent ? "" : "  !!INCONSISTENT");
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "multizone/experiments.hpp"
+#include "report.hpp"
 
 using namespace predis;
 using namespace predis::multizone;
@@ -36,10 +37,11 @@ void run_row(Topology topo, std::size_t n_c, std::size_t n_full,
 
   const ThroughputResult r = run_distribution_cluster(cfg);
   std::printf(
-      "%-10s n_c=%-2zu zones=%-2zu full=%-3zu tput=%7.0f lat_ms=%7.1f "
+      "%-10s n_c=%-2zu zones=%-2zu full=%-3zu tput=%7.0f lat_ms=%7s "
       "uplink=%5.1fMbps coverage=%.2f%s\n",
       to_string(topo), n_c, zones, n_full, r.throughput_tps,
-      r.avg_latency_ms, r.consensus_uplink_mbps, r.full_node_coverage,
+      tools::table_ms(r, r.avg_latency_ms).c_str(), r.consensus_uplink_mbps,
+      r.full_node_coverage,
       r.consistent ? "" : "  !!INCONSISTENT");
 }
 

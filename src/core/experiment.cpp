@@ -10,7 +10,6 @@
 #include "consensus/pbft/pbft_node.hpp"
 #include "consensus/predis/predis_nodes.hpp"
 #include "runtime/environments.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "txpool/client.hpp"
 
 namespace predis::core {
@@ -141,33 +140,53 @@ ConsensusNode make_consensus_node(const ClusterConfig& cfg, std::size_t index,
   return out;
 }
 
-ClusterResult run_cluster(const ClusterConfig& cfg) {
+Deployment::Deployment(runtime::RunContext ctx, runtime::LatencyMatrix latency,
+                       std::size_t n_consensus, std::size_t f,
+                       std::size_t regions)
+    : ctx_(std::move(ctx)),
+      sim_(std::move(latency)),
+      net_(ctx_.backend != nullptr ? *ctx_.backend : sim_.runtime()) {
   // Default backend: the deterministic discrete-event simulator. A
   // caller may swap in any other Runtime (e.g. ThreadRuntime) through
-  // cfg.ctx.backend; the assembly below only speaks the Runtime seam.
-  runtime::SimRuntime sim_backend(cfg.wan ? runtime::wan_latency()
-                                          : runtime::lan_latency());
-  runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
-  if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
-  const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
-
-  // --- Consensus nodes -------------------------------------------------
-  std::vector<NodeId> consensus_ids;
-  for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    consensus_ids.push_back(net.add_node(
+  // ctx.backend; runners only speak the Runtime seam.
+  if (ctx_.trace != nullptr) net_.set_tracer(ctx_.trace);
+  for (std::size_t i = 0; i < n_consensus; ++i) {
+    ccfg.nodes.push_back(net_.add_node(
         runtime::node_100mbps(static_cast<std::uint32_t>(i % regions))));
   }
+  ccfg.f = f;
+  keys = producer_keys(ccfg.nodes);
+}
 
-  ConsensusConfig ccfg;
-  ccfg.nodes = consensus_ids;
-  ccfg.f = cfg.f;
-  ccfg.view_timeout = cfg.view_timeout;
-  ccfg.propose_until = cfg.duration;
-  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
+void Deployment::run(SimTime until, const std::vector<NodeId>& others) {
+  if (ctx_.on_network_ready) ctx_.on_network_ready(net_, ccfg.nodes, others);
+  net_.start();
+  net_.run_until(until);
+}
 
-  Metrics metrics;
-  CommitLedger ledger(metrics);
+RunReport Deployment::report(SimTime from, SimTime to) const {
+  RunReport r;
+  r.throughput_tps = metrics.throughput_tps(from, to);
+  const Percentiles latencies = metrics.latencies();
+  r.latency_samples = latencies.count();
+  r.avg_latency_ms = latencies.mean();
+  r.p50_latency_ms = latencies.percentile(50);
+  r.p99_latency_ms = latencies.percentile(99);
+  r.committed_txs = metrics.committed_txs();
+  r.consistent = ledger.consistent();
+  r.consensus_uplink_mbps = runtime::mean_uplink_mbps(net_, ccfg.nodes);
+  if (ctx_.tracer != nullptr) r.stage_latency = ctx_.tracer->stage_breakdown();
+  return r;
+}
+
+ClusterResult run_cluster(const ClusterConfig& cfg) {
+  const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
+  Deployment d(cfg.ctx,
+               cfg.wan ? runtime::wan_latency() : runtime::lan_latency(),
+               cfg.n_consensus, cfg.f, regions);
+  d.ccfg.view_timeout = cfg.view_timeout;
+  d.ccfg.propose_until = cfg.duration;
+
   // One hash-chained ledger per consensus node (§II: full nodes keep
   // the history of the ledger); checked for prefix consistency below.
   std::vector<Ledger> ledgers(cfg.n_consensus);
@@ -178,9 +197,8 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
                                 std::size_t tx_count, SimTime when) {
       ledgers[i].append_block(digest, tx_root, tx_count, when);
     };
-    nodes.push_back(make_consensus_node(
-        cfg, i, NodeContext(net, consensus_ids[i], ccfg), keys, ledger,
-        cfg.ctx.tracer, record));
+    nodes.push_back(make_consensus_node(cfg, i, d.context(i), d.keys,
+                                        d.ledger, cfg.ctx.tracer, record));
   }
 
   // --- Clients ----------------------------------------------------------
@@ -192,32 +210,22 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   shape.record_from = cfg.warmup;
   shape.seed = cfg.seed * 1000;
   const auto clients =
-      add_clients(net, consensus_ids, cfg.n_clients, regions,
-                  clients_broadcast(cfg.protocol), shape, metrics);
+      add_clients(d.net(), d.consensus_ids(), cfg.n_clients, regions,
+                  clients_broadcast(cfg.protocol), shape, d.metrics);
 
   // --- Run --------------------------------------------------------------
   std::vector<NodeId> client_ids;
   for (const auto& c : clients) client_ids.push_back(c->id());
-  if (cfg.ctx.on_network_ready) {
-    cfg.ctx.on_network_ready(net, consensus_ids, client_ids);
-  }
-  net.start();
-  net.run_until(cfg.duration + cfg.drain);
+  d.run(cfg.duration + cfg.drain, client_ids);
 
   // --- Collect ------------------------------------------------------------
   ClusterResult result;
-  result.throughput_tps = metrics.throughput_tps(cfg.warmup, cfg.duration);
-  const Percentiles latencies = metrics.latencies();
-  result.latency_samples = latencies.count();
-  result.avg_latency_ms = latencies.mean();
-  result.p50_latency_ms = latencies.percentile(50);
-  result.p99_latency_ms = latencies.percentile(99);
-  result.committed_txs = metrics.committed_txs();
-  result.submitted_txs = metrics.submitted_txs();
-  result.commit_events = metrics.commit_events();
-  result.shed_uplink_txs = metrics.shed_txs(ShedReason::kUplinkBacklog);
-  result.shed_unconfirmed_txs = metrics.shed_txs(ShedReason::kUnconfirmedCap);
-  result.consistent = ledger.consistent();
+  static_cast<RunReport&>(result) = d.report(cfg.warmup, cfg.duration);
+  result.submitted_txs = d.metrics.submitted_txs();
+  result.commit_events = d.metrics.commit_events();
+  result.shed_uplink_txs = d.metrics.shed_txs(ShedReason::kUplinkBacklog);
+  result.shed_unconfirmed_txs =
+      d.metrics.shed_txs(ShedReason::kUnconfirmedCap);
 
   result.ledger_blocks_min = ledgers.empty() ? 0 : ledgers[0].size();
   for (const Ledger& l : ledgers) {
@@ -230,18 +238,15 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
         std::max<std::uint64_t>(result.ledger_blocks_max, l.size());
   }
 
-  result.consensus_uplink_mbps = runtime::mean_uplink_mbps(net, consensus_ids);
-  result.leader_proposal_bytes = net.stats(consensus_ids[0]).bytes_sent;
-  if (cfg.ctx.tracer != nullptr) {
-    result.stage_latency = cfg.ctx.tracer->stage_breakdown();
-  }
+  result.leader_proposal_bytes =
+      d.net().stats(d.consensus_ids()[0]).bytes_sent;
   {
     Writer w;
     for (const Ledger& l : ledgers) {
       w.u64(l.size());
       w.hash(l.head_hash());
     }
-    w.u64(metrics.committed_txs());
+    w.u64(result.committed_txs);
     result.commit_digest = to_hex(Sha256::hash(w.data()));
   }
   return result;

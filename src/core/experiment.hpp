@@ -14,6 +14,7 @@
 #include "common/types.hpp"
 #include "consensus/predis/predis_engine.hpp"
 #include "runtime/run_context.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace predis::consensus {
 namespace pbft {
@@ -90,15 +91,26 @@ struct ClusterConfig {
   runtime::RunContext ctx;
 };
 
-struct ClusterResult {
-  double throughput_tps = 0.0;   ///< Committed tx/s in [warmup, end].
+/// What every run reports, declared once: ClusterResult and
+/// multizone::ThroughputResult extend it, and Deployment::report fills
+/// it.
+struct RunReport {
+  double throughput_tps = 0.0;   ///< Committed tx/s in the measured window.
   double avg_latency_ms = 0.0;   ///< Client-observed, post-warmup.
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   /// Latency samples behind the three figures above; 0 means they are
   /// undefined (reports print null / "no samples"), not 0 ms.
   std::uint64_t latency_samples = 0;
-  std::uint64_t committed_txs = 0;
+  std::uint64_t committed_txs = 0;  ///< Transactions, not blocks.
+  bool consistent = true;           ///< No two nodes decided differently.
+  /// Mean consensus-node uplink use (runtime::mean_uplink_mbps).
+  double consensus_uplink_mbps = 0.0;
+  /// Filled when ctx.tracer was set: per-stage latency breakdowns.
+  std::vector<TraceStageStats> stage_latency;
+};
+
+struct ClusterResult : RunReport {
   std::uint64_t submitted_txs = 0;
   std::size_t commit_events = 0;  ///< Blocks/batches decided.
   /// Client transactions the shared-mempool producers (P-PBFT, P-HS,
@@ -106,21 +118,55 @@ struct ClusterResult {
   /// or admitted-but-unconfirmed transactions at the cap.
   std::uint64_t shed_uplink_txs = 0;
   std::uint64_t shed_unconfirmed_txs = 0;
-  bool consistent = true;         ///< No two nodes decided differently.
   /// Per-node hash-chained ledgers agreed on every common height.
   bool ledgers_consistent = true;
   std::uint64_t ledger_blocks_min = 0;  ///< Slowest node's chain length.
   std::uint64_t ledger_blocks_max = 0;
-  /// Mean consensus-node uplink use (runtime::mean_uplink_mbps).
-  double consensus_uplink_mbps = 0.0;
   std::uint64_t leader_proposal_bytes = 0;  ///< Proposal traffic (node 0).
-  /// Filled when config.ctx.tracer was set: per-stage latency breakdowns.
-  std::vector<TraceStageStats> stage_latency;
   /// SHA-256 over every node's final hash-chained ledger (lengths +
   /// head hashes) and the committed-tx count. Two runs that decided the
   /// same blocks in the same order agree on this string; the
   /// golden-digest tests pin it for a fixed scenario.
   std::string commit_digest;
+};
+
+/// The consensus layer of one run, built once: backend, trace hasher,
+/// the n_c consensus node ids, their ConsensusConfig and keys, and the
+/// commit metrics every runner reports from. Runners set their own
+/// policy on `ccfg` (view timeout, proposal stop) before building nodes
+/// with context(i), then add their other nodes and clients, in that
+/// order, through net().
+class Deployment {
+  runtime::RunContext ctx_;
+  runtime::SimRuntime sim_;
+  runtime::Runtime& net_;
+
+ public:
+  /// Runs on ctx.backend when set, else on an internal SimRuntime over
+  /// `latency`; installs ctx.trace; consensus node i sits in region
+  /// i mod `regions`.
+  Deployment(runtime::RunContext ctx, runtime::LatencyMatrix latency,
+             std::size_t n_consensus, std::size_t f, std::size_t regions);
+
+  runtime::Runtime& net() const { return net_; }
+  const std::vector<NodeId>& consensus_ids() const { return ccfg.nodes; }
+  /// Context of consensus node `i` under the current `ccfg`.
+  consensus::NodeContext context(std::size_t i) const {
+    return consensus::NodeContext(net_, ccfg.nodes[i], ccfg);
+  }
+
+  /// Fires ctx.on_network_ready(net, consensus ids, `others`), then
+  /// starts the backend and runs it to `until`.
+  void run(SimTime until, const std::vector<NodeId>& others);
+  /// Throughput over [from, to], client latencies, committed
+  /// transactions, commit agreement, consensus uplink and, with a
+  /// tracer, the stage breakdown.
+  RunReport report(SimTime from, SimTime to) const;
+
+  consensus::ConsensusConfig ccfg;  ///< nodes: the consensus ids; f.
+  std::vector<PublicKey> keys;      ///< consensus::producer_keys.
+  Metrics metrics;
+  consensus::CommitLedger ledger{metrics};
 };
 
 /// One consensus node and the typed handles harnesses read after a

@@ -14,7 +14,6 @@
 #include "consensus/pbft/pbft_node.hpp"
 #include "consensus/predis/predis_nodes.hpp"
 #include "runtime/environments.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "txpool/client.hpp"
 
 namespace predis::core {
@@ -30,33 +29,19 @@ bool has_predis_engine(Protocol p) {
 }  // namespace
 
 SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
-  runtime::SimRuntime backend(cfg.wan ? runtime::wan_latency()
-                                      : runtime::lan_latency());
-  runtime::Runtime& net = backend.runtime();
-  const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
-
   runtime::TraceHasher tracer;
-  net.set_tracer(&tracer);
+  runtime::RunContext ctx;
+  ctx.trace = &tracer;
+  const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
+  Deployment d(ctx, cfg.wan ? runtime::wan_latency() : runtime::lan_latency(),
+               cfg.n_consensus, cfg.f, regions);
+  runtime::Runtime& net = d.net();
+  const std::vector<NodeId>& consensus_ids = d.consensus_ids();
 
   // Block-lifecycle tracer shared by every consensus node: its folded
   // metrics digest must be reproducible for a given seed, which the
   // swarm tool's --verify-determinism sweep asserts.
   BlockTracer block_tracer;
-
-  // --- Consensus nodes -------------------------------------------------
-  std::vector<NodeId> consensus_ids;
-  for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    consensus_ids.push_back(net.add_node(
-        runtime::node_100mbps(static_cast<std::uint32_t>(i % regions))));
-  }
-
-  ConsensusConfig ccfg;
-  ccfg.nodes = consensus_ids;
-  ccfg.f = cfg.f;
-  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
-
-  Metrics metrics;
-  CommitLedger ledger(metrics);
 
   // --- Fault schedule --------------------------------------------------
   sim::FaultPlanConfig fplan = cfg.faults;
@@ -86,10 +71,10 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   // campaign's time-to-catch-up is the slowest node's gap to it.
   const SimTime healed_at = faults.healed_by();
   std::vector<SimTime> first_commit_after_heal(cfg.n_consensus, 0);
-  ledger.set_observer([&inv, &first_commit_after_heal, healed_at](
-                          std::size_t node_index, std::uint64_t slot,
-                          const Hash32& digest, std::size_t /*tx_count*/,
-                          SimTime when) {
+  d.ledger.set_observer([&inv, &first_commit_after_heal, healed_at](
+                            std::size_t node_index, std::uint64_t slot,
+                            const Hash32& digest, std::size_t /*tx_count*/,
+                            SimTime when) {
     inv.on_commit(node_index, slot, digest, when);
     if (healed_at > 0 && when >= healed_at &&
         node_index < first_commit_after_heal.size() &&
@@ -109,9 +94,8 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   node_cfg.seed = cfg.seed;
   std::vector<ConsensusNode> nodes;
   for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    nodes.push_back(make_consensus_node(
-        node_cfg, i, NodeContext(net, consensus_ids[i], ccfg), keys, ledger,
-        &block_tracer));
+    nodes.push_back(make_consensus_node(node_cfg, i, d.context(i), d.keys,
+                                        d.ledger, &block_tracer));
     const std::uint64_t rseed = cfg.seed ^ ((i + 1) * 0x9e3779b9ULL);
     const ConsensusNode& node = nodes.back();
     if (node.pbft != nullptr) node.pbft->set_recovery_seed(rseed);
@@ -176,11 +160,10 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   shape.seed = cfg.seed * 1000;
   const auto clients =
       add_clients(net, consensus_ids, cfg.n_clients, regions,
-                  clients_broadcast(cfg.protocol), shape, metrics);
+                  clients_broadcast(cfg.protocol), shape, d.metrics);
 
   // --- Run -------------------------------------------------------------
-  net.start();
-  net.run_until(cfg.duration + milliseconds(500));
+  d.run(cfg.duration + milliseconds(500), {});
   inv.finalize();
 
   // --- Collect ---------------------------------------------------------
@@ -192,7 +175,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   result.fault_plan = faults.describe();
   result.trace_digest = tracer.digest();
   result.trace_events = tracer.events();
-  result.committed_txs = metrics.committed_txs();
+  result.committed_txs = d.metrics.committed_txs();
   result.hostile_msgs = injector.injected();
   {
     const auto samples = block_tracer.stage_samples();
@@ -217,12 +200,12 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   result.commits_checked = inv.commits_checked();
   result.reconstructions_checked = inv.reconstructions_checked();
   result.faults_injected = faults.faults_injected();
-  result.committed_slots = ledger.committed_slots();
-  result.throughput_tps = metrics.throughput_tps(0, cfg.duration);
+  result.committed_slots = d.ledger.committed_slots();
+  result.throughput_tps = d.metrics.throughput_tps(0, cfg.duration);
   result.healed_by = faults.healed_by();
   if (result.healed_by > 0 && result.healed_by < cfg.duration) {
     result.post_heal_tps =
-        metrics.throughput_tps(result.healed_by, cfg.duration);
+        d.metrics.throughput_tps(result.healed_by, cfg.duration);
   }
 
   // Recovery counters, summed across nodes. GC stats come from every
@@ -250,7 +233,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
     result.gc_bytes += gc.bytes;
     result.gc_items += gc.items;
   }
-  result.duplicate_payloads = ledger.duplicate_payloads();
+  result.duplicate_payloads = d.ledger.duplicate_payloads();
   if (result.healed_by > 0 && result.healed_by < cfg.duration) {
     SimTime latest = 0;
     for (const SimTime t : first_commit_after_heal) {

@@ -1,17 +1,18 @@
 #include "multizone/experiments.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 
-#include "common/metrics.hpp"
 #include "common/thread_annotations.hpp"
+#include "core/experiment.hpp"
 #include "multizone/consensus_distributor.hpp"
 #include "multizone/full_node.hpp"
 #include "multizone/random_gossip.hpp"
 #include "runtime/environments.hpp"
-#include "runtime/sim_runtime.hpp"
 #include "txpool/client.hpp"
 
 namespace predis::multizone {
@@ -30,41 +31,151 @@ const char* to_string(Topology t) {
   return "?";
 }
 
+namespace {
+
+/// Full nodes join 120 ms apart, in both runners.
+constexpr SimTime kJoinSpacing = milliseconds(120);
+
+/// The full-node layer both runners measure: star full nodes or
+/// Multi-Zone full nodes (node i in zone i mod n_zones, joining
+/// kJoinSpacing apart). For random gossip it only allocates the ids;
+/// the runner builds the gossip graph over them. Records when each
+/// full node completes each block height; the callbacks fire on
+/// backend workers on the threaded backend, hence the mutex.
+class FullNodes {
+ public:
+  FullNodes(runtime::Runtime& net, Topology topology, std::size_t n,
+            const MultiZoneConfig& mzcfg, ZoneDirectory& dir,
+            std::uint64_t seed, BlockTracer* tracer) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId id = net.add_node(runtime::node_100mbps(0));
+      ids_.push_back(id);
+      if (topology == Topology::kRandom) continue;
+      std::unique_ptr<runtime::Actor> node;
+      if (topology == Topology::kStar) {
+        auto star = std::make_unique<StarFullNode>(net);
+        star->set_tracer(tracer, id);
+        star->on_block = [this](std::uint64_t height, SimTime when) {
+          arrived(height, when);
+        };
+        node = std::move(star);
+      } else {
+        dir.register_node(id, static_cast<std::uint32_t>(i % mzcfg.n_zones),
+                          static_cast<SimTime>(i) * kJoinSpacing);
+        auto mz = std::make_unique<MultiZoneFullNode>(net, id, mzcfg, dir,
+                                                      seed);
+        mz->set_tracer(tracer);
+        mz->on_block_complete = [this](const PredisBlock& block,
+                                       SimTime when) {
+          arrived(block.height, when);
+        };
+        mz_nodes_.push_back(mz.get());
+        node = std::move(mz);
+      }
+      net.attach(id, node.get());
+      nodes_.push_back(std::move(node));
+    }
+  }
+
+  const std::vector<NodeId>& ids() const { return ids_; }
+
+  /// A full node completed block `height` at `when`.
+  void arrived(std::uint64_t height, SimTime when) {
+    std::lock_guard<std::mutex> lock(m_);
+    arrivals_[height].push_back(when);
+  }
+  /// Block `height` was announced (produced) at `when`; the first call
+  /// for a height counts.
+  void announced(std::uint64_t height, SimTime when) {
+    std::lock_guard<std::mutex> lock(m_);
+    announced_.emplace(height, when);
+  }
+
+  std::size_t relayers() const {
+    std::size_t n = 0;
+    for (const MultiZoneFullNode* node : mz_nodes_) {
+      if (node->is_relayer()) ++n;
+    }
+    return n;
+  }
+
+  /// Mean fraction of full nodes that completed each block announced
+  /// at or before `cutoff`; 0 when there is none.
+  double coverage(SimTime cutoff) const {
+    std::lock_guard<std::mutex> lock(m_);
+    if (ids_.empty()) return 0.0;
+    double sum = 0.0;
+    std::size_t counted = 0;
+    for (const auto& [height, when] : announced_) {
+      if (when > cutoff) continue;
+      const auto it = arrivals_.find(height);
+      sum += it == arrivals_.end()
+                 ? 0.0
+                 : static_cast<double>(it->second.size()) /
+                       static_cast<double>(ids_.size());
+      ++counted;
+    }
+    return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
+  }
+
+  /// Mean time (ms) from a block's announcement until `fraction` of
+  /// the full nodes completed it, over the blocks that got that far.
+  std::optional<double> latency_ms_at(double fraction) const {
+    std::lock_guard<std::mutex> lock(m_);
+    const std::size_t need = static_cast<std::size_t>(
+        std::ceil(fraction * static_cast<double>(ids_.size())));
+    double sum = 0.0;
+    std::size_t counted = 0;
+    for (const auto& [height, when] : announced_) {
+      const auto it = arrivals_.find(height);
+      if (need == 0 || it == arrivals_.end() || it->second.size() < need) {
+        continue;
+      }
+      std::vector<SimTime> times = it->second;
+      std::sort(times.begin(), times.end());
+      sum += to_milliseconds(times[need - 1] - when);
+      ++counted;
+    }
+    if (counted == 0) return std::nullopt;
+    return sum / static_cast<double>(counted);
+  }
+
+ private:
+  std::vector<NodeId> ids_;
+  std::vector<std::unique_ptr<runtime::Actor>> nodes_;
+  std::vector<MultiZoneFullNode*> mz_nodes_;
+  mutable std::mutex m_;
+  std::map<std::uint64_t, std::vector<SimTime>> arrivals_
+      PREDIS_GUARDED_BY(m_);
+  std::map<std::uint64_t, SimTime> announced_ PREDIS_GUARDED_BY(m_);
+};
+
+}  // namespace
+
+SimTime load_start(const ThroughputConfig& cfg) {
+  return cfg.topology == Topology::kMultiZone
+             ? static_cast<SimTime>(cfg.n_full) * kJoinSpacing +
+                   milliseconds(1500)
+             : 0;
+}
+
 // =====================================================================
 // Fig. 7 — consensus throughput under distribution load
 // =====================================================================
 
 ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
-  runtime::SimRuntime sim_backend((runtime::lan_latency()));
-  runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
-  if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
-
-  // Consensus nodes.
-  std::vector<NodeId> consensus_ids;
-  for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    consensus_ids.push_back(net.add_node(runtime::node_100mbps(0)));
-  }
+  core::Deployment d(cfg.ctx, runtime::lan_latency(), cfg.n_consensus, cfg.f,
+                     1);
+  runtime::Runtime& net = d.net();
 
   // Clients start once the join churn has settled (the paper's testbed
   // likewise measures an established topology); computed up front so
   // the consensus config can stop proposals at load-stop time.
-  const SimTime setup = cfg.topology == Topology::kMultiZone
-                            ? static_cast<SimTime>(cfg.n_full) *
-                                      milliseconds(120) +
-                                  milliseconds(1500)
-                            : 0;
+  const SimTime setup = load_start(cfg);
+  d.ccfg.propose_until = setup + cfg.duration;
 
-  ConsensusConfig ccfg;
-  ccfg.nodes = consensus_ids;
-  ccfg.f = cfg.f;
-  ccfg.propose_until = setup + cfg.duration;
-  const std::vector<PublicKey> keys = producer_keys(consensus_ids);
-
-  Metrics metrics;
-  CommitLedger ledger(metrics);
   ZoneDirectory dir(std::max<std::size_t>(1, cfg.n_zones));
-  dir.set_consensus_nodes(consensus_ids);
+  dir.set_consensus_nodes(d.consensus_ids());
 
   MultiZoneConfig mzcfg;
   mzcfg.n_consensus = cfg.n_consensus;
@@ -83,7 +194,6 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
 
   std::vector<std::unique_ptr<MultiZoneConsensusNode>> consensus;
   for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    NodeContext ctx(net, consensus_ids[i], ccfg);
     predis::PredisConfig pcfg;
     pcfg.bundle_size = cfg.bundle_size;
     pcfg.seed = cfg.seed;
@@ -91,73 +201,30 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
     // lag seconds behind the consensus layer.
     pcfg.gc_retention = 4096;
     consensus.push_back(std::make_unique<MultiZoneConsensusNode>(
-        ctx, pcfg, keys, KeyPair::from_seed(consensus_ids[i]), ledger,
-        mzcfg, dir, mode));
+        d.context(i), pcfg, d.keys,
+        KeyPair::from_seed(d.consensus_ids()[i]), d.ledger, mzcfg, dir,
+        mode));
     consensus.back()->set_tracer(cfg.ctx.tracer);
-    net.attach(consensus_ids[i], consensus.back().get());
+    net.attach(d.consensus_ids()[i], consensus.back().get());
   }
 
-  // Full nodes.
-  std::vector<NodeId> full_ids;
-  for (std::size_t i = 0; i < cfg.n_full; ++i) {
-    full_ids.push_back(net.add_node(runtime::node_100mbps(0)));
-  }
-
-  // Capture maps are written from actor callbacks; on the threaded
-  // backend those fire on different workers, so guard them.
-  std::mutex capture_m;
-  std::map<std::uint64_t, SimTime> announced_at;   // block height -> time
-  std::map<std::uint64_t, std::size_t> completions;  // height -> count
-
-  std::vector<std::unique_ptr<runtime::Actor>> full_nodes;
-  std::vector<MultiZoneFullNode*> mz_nodes;
+  FullNodes full(net, cfg.topology, cfg.n_full, mzcfg, dir, cfg.seed,
+                 cfg.ctx.tracer);
   if (cfg.topology == Topology::kStar) {
     // Round-robin assignment of full nodes to consensus nodes.
     std::vector<std::vector<NodeId>> children(cfg.n_consensus);
-    for (std::size_t i = 0; i < full_ids.size(); ++i) {
-      children[i % cfg.n_consensus].push_back(full_ids[i]);
+    for (std::size_t i = 0; i < full.ids().size(); ++i) {
+      children[i % cfg.n_consensus].push_back(full.ids()[i]);
     }
     for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
       consensus[i]->set_star_children(std::move(children[i]));
     }
-    for (NodeId id : full_ids) {
-      auto node = std::make_unique<StarFullNode>(net);
-      node->set_tracer(cfg.ctx.tracer, id);
-      node->on_block = [&completions, &capture_m](std::uint64_t id,
-                                                  SimTime) {
-        std::lock_guard<std::mutex> lock(capture_m);
-        ++completions[id];
-      };
-      net.attach(id, node.get());
-      full_nodes.push_back(std::move(node));
-    }
-  } else {
-    for (std::size_t i = 0; i < full_ids.size(); ++i) {
-      dir.register_node(full_ids[i],
-                        static_cast<std::uint32_t>(i % cfg.n_zones),
-                        static_cast<SimTime>(i) * milliseconds(120));
-    }
-    for (NodeId id : full_ids) {
-      auto node = std::make_unique<MultiZoneFullNode>(net, id, mzcfg, dir,
-                                                      cfg.seed);
-      node->set_tracer(cfg.ctx.tracer);
-      node->on_block_complete = [&completions, &capture_m](
-                                    const PredisBlock& b, SimTime) {
-        std::lock_guard<std::mutex> lock(capture_m);
-        ++completions[b.height];
-      };
-      mz_nodes.push_back(node.get());
-      net.attach(id, node.get());
-      full_nodes.push_back(std::move(node));
-    }
   }
 
   // Record announced blocks (once per committed block, at node 0).
-  consensus[0]->on_block_distributed =
-      [&announced_at, &capture_m, &net](const PredisBlock& block) {
-        std::lock_guard<std::mutex> lock(capture_m);
-        announced_at.emplace(block.height, net.now());
-      };
+  consensus[0]->on_block_distributed = [&full, &net](const PredisBlock& block) {
+    full.announced(block.height, net.now());
+  };
 
   ClientConfig shape;
   shape.tx_per_second =
@@ -166,55 +233,25 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
   shape.stop_at = setup + cfg.duration;
   shape.record_from = setup + cfg.warmup;
   shape.seed = cfg.seed * 7919;
-  const auto clients = add_clients(net, consensus_ids, cfg.n_clients, 1,
-                                   /*broadcast=*/false, shape, metrics);
+  const auto clients = add_clients(net, d.consensus_ids(), cfg.n_clients, 1,
+                                   /*broadcast=*/false, shape, d.metrics);
 
-  if (cfg.ctx.on_network_ready) {
-    cfg.ctx.on_network_ready(net, consensus_ids, full_ids);
-  }
-  net.start();
-  net.run_until(setup + cfg.duration + cfg.drain);
+  d.run(setup + cfg.duration + cfg.drain, full.ids());
 
   ThroughputResult result;
-  result.throughput_tps =
-      metrics.throughput_tps(setup + cfg.warmup, setup + cfg.duration);
-  const Percentiles latencies = metrics.latencies();
-  result.latency_samples = latencies.count();
-  result.avg_latency_ms = latencies.mean();
-  result.p50_latency_ms = latencies.percentile(50);
-  result.p99_latency_ms = latencies.percentile(99);
-  result.committed_txs = metrics.committed_txs();
-  result.consistent = ledger.consistent();
-  for (NodeId id : consensus_ids) {
+  static_cast<core::RunReport&>(result) =
+      d.report(setup + cfg.warmup, setup + cfg.duration);
+  for (NodeId id : d.consensus_ids()) {
     const runtime::TrafficStats stats = net.stats(id);
-    metrics.record_bytes_sent(stats.bytes_sent);
-    metrics.record_bytes_received(stats.bytes_received);
+    d.metrics.record_bytes_sent(stats.bytes_sent);
+    d.metrics.record_bytes_received(stats.bytes_received);
   }
-  result.consensus_bytes_sent = metrics.bytes_sent();
-  result.consensus_bytes_received = metrics.bytes_received();
-  result.consensus_uplink_mbps = runtime::mean_uplink_mbps(net, consensus_ids);
+  result.consensus_bytes_sent = d.metrics.bytes_sent();
+  result.consensus_bytes_received = d.metrics.bytes_received();
   // Coverage over blocks announced early enough to have had time to
   // propagate (exclude the trailing 3 simulated seconds).
-  if (!full_ids.empty()) {
-    const SimTime cutoff = net.now() - seconds(3);
-    double sum = 0.0;
-    std::size_t counted = 0;
-    for (const auto& [height, when] : announced_at) {
-      if (when > cutoff) continue;
-      const auto it = completions.find(height);
-      sum += it == completions.end()
-                 ? 0.0
-                 : static_cast<double>(it->second) /
-                       static_cast<double>(full_ids.size());
-      ++counted;
-    }
-    if (counted > 0) {
-      result.full_node_coverage = sum / static_cast<double>(counted);
-    }
-  }
-  for (MultiZoneFullNode* node : mz_nodes) {
-    if (node->is_relayer()) ++result.relayers_seen;
-  }
+  result.full_node_coverage = full.coverage(net.now() - seconds(3));
+  result.relayers_seen = full.relayers();
   result.last_executed_min = std::numeric_limits<std::uint64_t>::max();
   for (auto& node : consensus) {
     auto& core = node->inner().core();
@@ -223,9 +260,6 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
         std::min(result.last_executed_min, core.last_executed());
     result.last_executed_max =
         std::max(result.last_executed_max, core.last_executed());
-  }
-  if (cfg.ctx.tracer != nullptr) {
-    result.stage_latency = cfg.ctx.tracer->stage_breakdown();
   }
   return result;
 }
@@ -339,20 +373,12 @@ class StarProducer final : public runtime::Actor {
 }  // namespace
 
 PropagationResult run_propagation(const PropagationConfig& cfg) {
-  runtime::SimRuntime sim_backend((runtime::lan_latency()));
-  runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
-  if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
+  // The synthetic producers stand on the consensus ids.
+  core::Deployment d(cfg.ctx, runtime::lan_latency(), cfg.n_consensus, cfg.f,
+                     1);
+  runtime::Runtime& net = d.net();
+  const std::vector<NodeId>& producer_ids = d.consensus_ids();
   Rng rng(cfg.seed);
-
-  std::vector<NodeId> producer_ids;
-  for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
-    producer_ids.push_back(net.add_node(runtime::node_100mbps(0)));
-  }
-  std::vector<NodeId> full_ids;
-  for (std::size_t i = 0; i < cfg.n_full; ++i) {
-    full_ids.push_back(net.add_node(runtime::node_100mbps(0)));
-  }
 
   // Block production schedule: one shared cadence for every topology
   // (apples-to-apples, like the paper's fixed block stream), long
@@ -370,18 +396,21 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
   // must finish before the first block is measured.
   const SimTime setup =
       std::max(cfg.setup_time, static_cast<SimTime>(cfg.n_full) *
-                                       milliseconds(120) +
+                                       kJoinSpacing +
                                    seconds(3));
 
-  // arrivals[b] = completion times at full nodes for block b; written
-  // from actor callbacks (worker threads on the threaded backend).
-  std::mutex capture_m;
-  std::vector<std::vector<SimTime>> arrivals(cfg.n_blocks);
-  std::vector<SimTime> produced_at(cfg.n_blocks, 0);
-
-  std::vector<std::unique_ptr<runtime::Actor>> actors;
   ZoneDirectory dir(std::max<std::size_t>(1, cfg.n_zones));
   dir.set_consensus_nodes(producer_ids);
+  MultiZoneConfig mzcfg;
+  mzcfg.n_consensus = cfg.n_consensus;
+  mzcfg.f = cfg.f;
+  mzcfg.n_zones = cfg.n_zones;
+  mzcfg.max_subscribers = cfg.max_subscribers;
+
+  std::vector<std::unique_ptr<runtime::Actor>> actors;
+  FullNodes full(net, cfg.topology, cfg.n_full, mzcfg, dir, cfg.seed,
+                 cfg.ctx.tracer);
+  const std::vector<NodeId>& full_ids = full.ids();
 
   if (cfg.topology == Topology::kStar) {
     std::vector<StarProducer*> producers;
@@ -393,20 +422,11 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
     }
     for (std::size_t i = 0; i < full_ids.size(); ++i) {
       producers[i % cfg.n_consensus]->children.push_back(full_ids[i]);
-      auto node = std::make_unique<StarFullNode>(net);
-      node->set_tracer(cfg.ctx.tracer, full_ids[i]);
-      node->on_block = [&arrivals, &capture_m](std::uint64_t id,
-                                               SimTime when) {
-        std::lock_guard<std::mutex> lock(capture_m);
-        if (id < arrivals.size()) arrivals[id].push_back(when);
-      };
-      net.attach(full_ids[i], node.get());
-      actors.push_back(std::move(node));
     }
     for (std::size_t b = 0; b < cfg.n_blocks; ++b) {
       const SimTime at =
           setup + static_cast<SimTime>(b) * block_interval;
-      produced_at[b] = at;
+      full.announced(b, at);
       // Scheduling happens before the run starts (now() == 0), so the
       // relative delay equals the absolute production time.
       PREDIS_FIRE_AND_FORGET(net.schedule_after(
@@ -446,10 +466,8 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
       if (is_producer) {
         sources->push_back(node.get());
       } else {
-        node->on_block = [&arrivals, &capture_m](std::uint64_t id2,
-                                                 SimTime when) {
-          std::lock_guard<std::mutex> lock(capture_m);
-          if (id2 < arrivals.size()) arrivals[id2].push_back(when);
+        node->on_block = [&full](std::uint64_t height, SimTime when) {
+          full.arrived(height, when);
         };
       }
       net.attach(id, node.get());
@@ -458,19 +476,13 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
     for (std::size_t b = 0; b < cfg.n_blocks; ++b) {
       const SimTime at =
           setup + static_cast<SimTime>(b) * block_interval;
-      produced_at[b] = at;
+      full.announced(b, at);
       PREDIS_FIRE_AND_FORGET(net.schedule_after(at, [sources, b, &cfg] {
         for (RandomGossipNode* s : *sources) s->inject(b, cfg.block_bytes);
       }));
     }
   } else {
     // --- Multi-Zone ----------------------------------------------------
-    MultiZoneConfig mzcfg;
-    mzcfg.n_consensus = cfg.n_consensus;
-    mzcfg.f = cfg.f;
-    mzcfg.n_zones = cfg.n_zones;
-    mzcfg.max_subscribers = cfg.max_subscribers;
-
     const std::size_t k = cfg.n_consensus - cfg.f;
     auto producers = std::make_shared<std::vector<SyntheticProducer*>>();
     for (std::size_t i = 0; i < cfg.n_consensus; ++i) {
@@ -480,26 +492,6 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
       producers->push_back(p.get());
       net.attach(producer_ids[i], p.get());
       actors.push_back(std::move(p));
-    }
-    for (std::size_t i = 0; i < full_ids.size(); ++i) {
-      dir.register_node(full_ids[i],
-                        static_cast<std::uint32_t>(i % cfg.n_zones),
-                        static_cast<SimTime>(i) * milliseconds(120));
-    }
-    for (NodeId id : full_ids) {
-      auto node =
-          std::make_unique<MultiZoneFullNode>(net, id, mzcfg, dir, cfg.seed);
-      node->set_tracer(cfg.ctx.tracer);
-      node->on_block_complete = [&arrivals, &capture_m](
-                                    const PredisBlock& block,
-                                    SimTime when) {
-        std::lock_guard<std::mutex> lock(capture_m);
-        if (block.height < arrivals.size()) {
-          arrivals[block.height].push_back(when);
-        }
-      };
-      net.attach(id, node.get());
-      actors.push_back(std::move(node));
     }
 
     // Driver: pre-distributes bundles for each block uniformly over the
@@ -556,7 +548,7 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
     for (std::size_t b = 0; b < cfg.n_blocks; ++b) {
       const SimTime block_at =
           setup + static_cast<SimTime>(b + 1) * block_interval;
-      produced_at[b] = block_at;
+      full.announced(b, block_at);
       // Bundles spread across the preceding interval.
       const SimTime window_start = block_at - block_interval;
       for (std::size_t j = 0; j < bundles_per_block; ++j) {
@@ -628,37 +620,16 @@ PropagationResult run_propagation(const PropagationConfig& cfg) {
                            static_cast<SimTime>(cfg.n_blocks + 2) *
                                block_interval +
                            seconds(5);
-  net.start();
-  net.run_until(end_time);
+  d.run(end_time, full_ids);
 
   // Aggregate: time for each block to reach X% of full nodes.
   PropagationResult result;
-  const std::vector<double> fractions = {0.10, 0.25, 0.50, 0.75,
-                                         0.90, 0.95, 1.00};
-  double coverage = 0.0;
-  for (double frac : fractions) {
-    double sum = 0.0;
-    std::size_t counted = 0;
-    for (std::size_t b = 0; b < cfg.n_blocks; ++b) {
-      auto times = arrivals[b];
-      std::sort(times.begin(), times.end());
-      const std::size_t need = static_cast<std::size_t>(
-          std::ceil(frac * static_cast<double>(cfg.n_full)));
-      if (need == 0 || times.size() < need) continue;
-      sum += to_milliseconds(times[need - 1] - produced_at[b]);
-      ++counted;
-    }
-    if (counted > 0) {
-      result.latency_ms_at_fraction[frac] =
-          sum / static_cast<double>(counted);
+  for (double frac : {0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 1.00}) {
+    if (const auto ms = full.latency_ms_at(frac)) {
+      result.latency_ms_at_fraction[frac] = *ms;
     }
   }
-  for (std::size_t b = 0; b < cfg.n_blocks; ++b) {
-    coverage += static_cast<double>(arrivals[b].size()) /
-                static_cast<double>(cfg.n_full);
-  }
-  result.full_coverage_fraction =
-      coverage / static_cast<double>(cfg.n_blocks);
+  result.full_coverage_fraction = full.coverage(kSimTimeNever);
   if (cfg.ctx.tracer != nullptr) {
     result.stage_latency = cfg.ctx.tracer->stage_breakdown();
   }

@@ -11,6 +11,7 @@
 
 #include "common/block_tracer.hpp"
 #include "common/types.hpp"
+#include "core/experiment.hpp"
 #include "runtime/run_context.hpp"
 
 namespace predis::multizone {
@@ -53,18 +54,7 @@ struct ThroughputConfig {
   runtime::RunContext ctx;
 };
 
-struct ThroughputResult {
-  double throughput_tps = 0.0;
-  /// Client-observed commit latency, post-warmup, computed as
-  /// core::run_cluster does; undefined when latency_samples is 0.
-  double avg_latency_ms = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  std::uint64_t latency_samples = 0;
-  std::uint64_t committed_txs = 0;  ///< Transactions, not blocks.
-  bool consistent = true;
-  /// Mean consensus-node uplink use (runtime::mean_uplink_mbps).
-  double consensus_uplink_mbps = 0.0;
+struct ThroughputResult : core::RunReport {
   /// Aggregate wire bytes over consensus nodes (Metrics byte counters).
   std::uint64_t consensus_bytes_sent = 0;
   std::uint64_t consensus_bytes_received = 0;
@@ -74,9 +64,12 @@ struct ThroughputResult {
   std::uint64_t view_changes = 0;       ///< Summed over consensus nodes.
   std::uint64_t last_executed_min = 0;  ///< Slowest node's executed slot.
   std::uint64_t last_executed_max = 0;
-  /// Filled when config.ctx.tracer was set: per-stage breakdowns.
-  std::vector<TraceStageStats> stage_latency;
 };
+
+/// When the clients start: once the Multi-Zone join churn has settled
+/// (full nodes join 120 ms apart), so every measured window sees an
+/// established topology; 0 for star. Load stops `duration` later.
+SimTime load_start(const ThroughputConfig& config);
 
 ThroughputResult run_distribution_cluster(const ThroughputConfig& config);
 

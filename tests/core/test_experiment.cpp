@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../consensus/cluster.hpp"
+#include "runtime/environments.hpp"
+#include "runtime/trace.hpp"
 
 namespace predis::core {
 namespace {
@@ -171,6 +173,84 @@ TEST(Experiment, ScalesToEightConsensusNodes) {
   const ClusterResult r = run_cluster(cfg);
   EXPECT_TRUE(r.consistent);
   EXPECT_GT(r.throughput_tps, 1700.0);
+}
+
+// --- Deployment: the one place a run picks its backend -----------------
+
+struct Ping final : runtime::Message {
+  std::size_t wire_size() const override { return 64; }
+  const char* name() const override { return "Ping"; }
+};
+
+/// Pings `peer` on start and notes how often the network-ready hook had
+/// fired by then.
+class StartProbe final : public runtime::Actor {
+ public:
+  StartProbe(runtime::Runtime& net, NodeId self, NodeId peer,
+             const int& ready)
+      : net_(net), self_(self), peer_(peer), ready_(ready) {}
+  void on_start() override {
+    ready_at_start = ready_;
+    net_.send(self_, peer_, std::make_shared<Ping>());
+  }
+  void on_message(NodeId, const runtime::MsgPtr&) override {}
+  int ready_at_start = -1;
+
+ private:
+  runtime::Runtime& net_;
+  NodeId self_;
+  NodeId peer_;
+  const int& ready_;
+};
+
+TEST(Deployment, AllocatesEveryIdOnTheContextBackend) {
+  runtime::SimRuntime backend(runtime::lan_latency());
+  runtime::RunContext ctx;
+  ctx.backend = &backend;
+  Deployment d(ctx, runtime::lan_latency(), 4, 1, 1);
+  EXPECT_EQ(&d.net(), &backend.runtime());
+  EXPECT_EQ(backend.node_count(), 4u);
+  EXPECT_EQ(d.ccfg.nodes.size(), 4u);
+  EXPECT_EQ(d.ccfg.f, 1u);
+  EXPECT_EQ(d.keys, consensus::producer_keys(d.consensus_ids()));
+}
+
+TEST(Deployment, AssignsRegionsRoundRobin) {
+  runtime::RunContext ctx;
+  Deployment d(ctx, runtime::wan_latency(), 6, 1, runtime::kWanRegions);
+  ASSERT_EQ(d.consensus_ids().size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(d.net().region_of(d.consensus_ids()[i]),
+              i % runtime::kWanRegions);
+  }
+}
+
+TEST(Deployment, InstallsTheTraceHasherAndFiresNetworkReadyOnceBeforeStart) {
+  runtime::TraceHasher trace;
+  int ready = 0;
+  std::vector<NodeId> seen_consensus, seen_others;
+  runtime::RunContext ctx;
+  ctx.trace = &trace;
+  ctx.on_network_ready = [&](runtime::Runtime&,
+                             const std::vector<NodeId>& consensus,
+                             const std::vector<NodeId>& others) {
+    ++ready;
+    seen_consensus = consensus;
+    seen_others = others;
+  };
+  Deployment d(ctx, runtime::lan_latency(), 4, 1, 1);
+  const NodeId other = d.net().add_node(runtime::node_100mbps(0));
+  StartProbe probe(d.net(), d.consensus_ids()[0], other, ready);
+  StartProbe peer(d.net(), other, d.consensus_ids()[0], ready);
+  d.net().attach(d.consensus_ids()[0], &probe);
+  d.net().attach(other, &peer);
+  d.run(seconds(1), {other});
+
+  EXPECT_EQ(ready, 1);
+  EXPECT_EQ(probe.ready_at_start, 1);
+  EXPECT_EQ(seen_consensus, d.consensus_ids());
+  EXPECT_EQ(seen_others, std::vector<NodeId>{other});
+  EXPECT_EQ(trace.events(), 2u);  // The two pings.
 }
 
 }  // namespace

@@ -95,6 +95,26 @@ TEST(DistributionCluster, MultiZoneShrugsOffFullNodeGrowth) {
   EXPECT_GT(mz_many, 1.3 * star_many);
 }
 
+// committed_txs counts transactions from the client metrics, never a
+// block height (adversary_report once reported the slowest node's
+// executed slot under that name).
+TEST(DistributionCluster, CommittedTxsCountsTransactions) {
+  ThroughputConfig cfg;
+  cfg.topology = Topology::kStar;
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.n_full = 4;
+  cfg.offered_load_tps = 2000;
+  cfg.duration = seconds(4);
+  cfg.warmup = seconds(2);
+
+  const ThroughputResult r = run_distribution_cluster(cfg);
+  EXPECT_GT(r.throughput_tps, 0.0);
+  EXPECT_GE(static_cast<double>(r.committed_txs),
+            r.throughput_tps * to_seconds(cfg.duration - cfg.warmup));
+  EXPECT_GT(r.committed_txs, r.last_executed_max);
+}
+
 TEST(Propagation, AllTopologiesReachEveryNode) {
   for (Topology topo :
        {Topology::kStar, Topology::kRandom, Topology::kMultiZone}) {
@@ -152,6 +172,41 @@ TEST(Propagation, MoreZonesFlattenLatency) {
   // bench reproduces it); at 24 nodes we only require that extra zones
   // cost at most a small constant factor (stripe copies per zone).
   EXPECT_LE(run(6), run(2) * 2.5);
+}
+
+// Every runner honours RunContext::on_network_ready: once, with the
+// producer and full-node ids, after the topology is built and before
+// any bundle or block is produced.
+TEST(Propagation, FiresOnNetworkReadyOnce) {
+  PropagationConfig cfg;
+  cfg.topology = Topology::kMultiZone;
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.n_full = 6;
+  cfg.n_zones = 2;
+  cfg.block_bytes = 256 << 10;
+  cfg.n_blocks = 1;
+  BlockTracer tracer;
+  cfg.ctx.tracer = &tracer;
+  int fired = 0;
+  std::size_t traced_at_ready = 0;
+  std::vector<NodeId> producers, full;
+  cfg.ctx.on_network_ready = [&](runtime::Runtime&,
+                                 const std::vector<NodeId>& consensus,
+                                 const std::vector<NodeId>& others) {
+    ++fired;
+    traced_at_ready = tracer.entry_count();
+    producers = consensus;
+    full = others;
+  };
+
+  run_propagation(cfg);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(traced_at_ready, 0u);
+  EXPECT_GT(tracer.entry_count(), 0u);
+  ASSERT_EQ(producers.size(), cfg.n_consensus);
+  ASSERT_EQ(full.size(), cfg.n_full);
+  EXPECT_LT(producers.back(), full.front());  // Consensus ids first.
 }
 
 }  // namespace

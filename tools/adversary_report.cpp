@@ -137,15 +137,6 @@ predis::multizone::ThroughputConfig gossip_base(bool smoke) {
   return cfg;
 }
 
-/// The runner starts clients only after topology convergence; faults
-/// must strike inside the measured window, so mirror its setup formula.
-predis::SimTime gossip_setup_time(
-    const predis::multizone::ThroughputConfig& cfg) {
-  return static_cast<predis::SimTime>(cfg.n_full) *
-             predis::milliseconds(120) +
-         predis::milliseconds(1500);
-}
-
 ProtocolReport run_gossip_campaign(bool smoke) {
   ProtocolReport report;
   report.name = "multizone_gossip";
@@ -156,7 +147,9 @@ ProtocolReport run_gossip_campaign(bool smoke) {
     cfg.ctx.tracer = &tracer;
 
     if (attack != AttackKind::kNone) {
-      const predis::SimTime setup = gossip_setup_time(cfg);
+      // The runner starts clients once the join churn settles; faults
+      // must strike inside the measured window.
+      const predis::SimTime setup = predis::multizone::load_start(cfg);
       cfg.ctx.on_network_ready = [&, setup](
                                  predis::runtime::Runtime& net,
                                  const std::vector<predis::NodeId>& consensus,
@@ -202,7 +195,7 @@ ProtocolReport run_gossip_campaign(bool smoke) {
     cell.attack = predis::core::to_string(attack);
     cell.safe = r.consistent;
     cell.throughput_tps = r.throughput_tps;
-    cell.committed_txs = static_cast<std::uint64_t>(r.last_executed_min);
+    cell.committed_txs = r.committed_txs;
     cell.alive = r.throughput_tps > 0.0;
     for (const predis::TraceStageStats& st : r.stage_latency) {
       if (st.name == "end_to_end" && st.count > 0) cell.p99_ms = st.p99_ms;

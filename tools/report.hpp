@@ -106,6 +106,13 @@ inline std::string json_ms(double ms, std::uint64_t samples, int precision) {
   return buf;
 }
 
+/// A latency figure of run `r` for a text table: "n/a" when the run
+/// recorded no samples.
+template <typename Report>
+std::string table_ms(const Report& r, double ms) {
+  return r.latency_samples == 0 ? "n/a" : json_ms(ms, r.latency_samples, 1);
+}
+
 /// Appends `"key": value, ` pairs (the last of an object passes
 /// comma = false) to the report being built in `buf`.
 struct JsonWriter {

@@ -42,12 +42,7 @@ struct RunNumbers {
   std::string backend;   ///< "sim" or "threads".
   std::string clock;     ///< "virtual" or "wall".
   std::size_t workers = 1;
-  double throughput_tps = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  std::uint64_t latency_samples = 0;  ///< 0: p50/p99 are undefined.
-  std::uint64_t committed_txs = 0;
-  bool consistent = true;
+  predis::core::RunReport report;  ///< consistent includes the ledgers.
 };
 
 predis::core::ClusterConfig cluster_scenario(bool smoke) {
@@ -79,44 +74,24 @@ predis::multizone::ThroughputConfig zone_scenario(bool smoke) {
   return cfg;
 }
 
-RunNumbers run_cluster_on(bool smoke, predis::runtime::Runtime* backend,
-                          const char* backend_name, const char* clock,
-                          std::size_t workers) {
-  predis::core::ClusterConfig cfg = cluster_scenario(smoke);
-  cfg.ctx.backend = backend;
-  const predis::core::ClusterResult r = predis::core::run_cluster(cfg);
-  RunNumbers n;
-  n.scenario = "predis_cluster";
-  n.backend = backend_name;
-  n.clock = clock;
-  n.workers = workers;
-  n.throughput_tps = r.throughput_tps;
-  n.p50_latency_ms = r.p50_latency_ms;
-  n.p99_latency_ms = r.p99_latency_ms;
-  n.latency_samples = r.latency_samples;
-  n.committed_txs = r.committed_txs;
-  n.consistent = r.consistent && r.ledgers_consistent;
-  return n;
-}
-
-RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
-                       const char* backend_name, const char* clock,
-                       std::size_t workers) {
-  predis::multizone::ThroughputConfig cfg = zone_scenario(smoke);
-  cfg.ctx.backend = backend;
-  const predis::multizone::ThroughputResult r =
-      predis::multizone::run_distribution_cluster(cfg);
-  RunNumbers n;
-  n.scenario = "multizone_distribution";
-  n.backend = backend_name;
-  n.clock = clock;
-  n.workers = workers;
-  n.throughput_tps = r.throughput_tps;
-  n.p50_latency_ms = r.p50_latency_ms;
-  n.p99_latency_ms = r.p99_latency_ms;
-  n.latency_samples = r.latency_samples;
-  n.committed_txs = r.committed_txs;
-  n.consistent = r.consistent;
+/// Runs the cluster (or the zone) scenario on `backend`; null selects
+/// the runner's internal SimRuntime.
+RunNumbers run_on(bool smoke, bool zone, predis::runtime::Runtime* backend,
+                  const char* backend_name, const char* clock,
+                  std::size_t workers) {
+  RunNumbers n{zone ? "multizone_distribution" : "predis_cluster",
+               backend_name, clock, workers, {}};
+  if (zone) {
+    predis::multizone::ThroughputConfig cfg = zone_scenario(smoke);
+    cfg.ctx.backend = backend;
+    n.report = predis::multizone::run_distribution_cluster(cfg);
+  } else {
+    predis::core::ClusterConfig cfg = cluster_scenario(smoke);
+    cfg.ctx.backend = backend;
+    const predis::core::ClusterResult r = predis::core::run_cluster(cfg);
+    n.report = r;
+    n.report.consistent = r.consistent && r.ledgers_consistent;
+  }
   return n;
 }
 
@@ -129,6 +104,7 @@ std::unique_ptr<predis::runtime::ThreadRuntime> make_wall_backend(
 }
 
 void append_json(std::string& out, const RunNumbers& n, bool last) {
+  const predis::core::RunReport& r = n.report;
   char tmp[512];
   std::snprintf(
       tmp, sizeof(tmp),
@@ -137,11 +113,11 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
       "\"p99_latency_ms\": %s, \"latency_samples\": %llu, "
       "\"committed_txs\": %llu, \"consistent\": %s}%s\n",
       n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-      n.throughput_tps, json_ms(n.p50_latency_ms, n.latency_samples, 3).c_str(),
-      json_ms(n.p99_latency_ms, n.latency_samples, 3).c_str(),
-      static_cast<unsigned long long>(n.latency_samples),
-      static_cast<unsigned long long>(n.committed_txs),
-      n.consistent ? "true" : "false", last ? "" : ",");
+      r.throughput_tps, json_ms(r.p50_latency_ms, r.latency_samples, 3).c_str(),
+      json_ms(r.p99_latency_ms, r.latency_samples, 3).c_str(),
+      static_cast<unsigned long long>(r.latency_samples),
+      static_cast<unsigned long long>(r.committed_txs),
+      r.consistent ? "true" : "false", last ? "" : ",");
   out += tmp;
 }
 
@@ -160,41 +136,38 @@ int main(int argc, char** argv) {
   std::vector<RunNumbers> runs;
 
   // Deterministic oracle first (internal SimRuntime).
-  runs.push_back(run_cluster_on(smoke, nullptr, "sim", "virtual", 1));
-  runs.push_back(run_zone_on(smoke, nullptr, "sim", "virtual", 1));
+  for (bool zone : {false, true}) {
+    runs.push_back(run_on(smoke, zone, nullptr, "sim", "virtual", 1));
+  }
 
   // Same scenario objects, wall-clock worker pool. One fresh backend
   // per run: a Runtime carries one topology for its lifetime.
-  {
+  for (bool zone : {false, true}) {
     auto wall = make_wall_backend(workers);
-    runs.push_back(run_cluster_on(smoke, wall.get(), "threads",
-                                  "wall", wall->worker_count()));
-  }
-  {
-    auto wall = make_wall_backend(workers);
-    runs.push_back(run_zone_on(smoke, wall.get(), "threads", "wall",
-                               wall->worker_count()));
+    runs.push_back(run_on(smoke, zone, wall.get(), "threads", "wall",
+                          wall->worker_count()));
   }
 
   bool ok = true;
   std::printf("runtime_report: %zu runs (%s)\n", runs.size(),
               smoke ? "smoke" : "full");
   for (const RunNumbers& n : runs) {
+    const predis::core::RunReport& r = n.report;
     char latency[64];
-    if (n.latency_samples == 0) {
+    if (r.latency_samples == 0) {
       std::snprintf(latency, sizeof(latency), "%-30s", "no samples");
     } else {
       std::snprintf(latency, sizeof(latency), "p50 %7.2f ms  p99 %7.2f ms",
-                    n.p50_latency_ms, n.p99_latency_ms);
+                    r.p50_latency_ms, r.p99_latency_ms);
     }
     std::printf("  %-24s %-8s %-8s workers=%zu  %9.1f tx/s  %s  "
                 "committed %llu  %s\n",
                 n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(),
-                n.workers, n.throughput_tps, latency,
-                static_cast<unsigned long long>(n.committed_txs),
-                n.consistent ? "consistent" : "INCONSISTENT");
-    if (!n.consistent || n.latency_samples == 0) ok = false;
-    if (n.scenario == "predis_cluster" && n.committed_txs == 0) ok = false;
+                n.workers, r.throughput_tps, latency,
+                static_cast<unsigned long long>(r.committed_txs),
+                r.consistent ? "consistent" : "INCONSISTENT");
+    if (!r.consistent || r.latency_samples == 0) ok = false;
+    if (n.scenario == "predis_cluster" && r.committed_txs == 0) ok = false;
   }
 
   std::string json = "{\n  \"schema\": \"predis-runtime/1\", "
