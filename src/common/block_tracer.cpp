@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/codec.hpp"
-#include "common/metrics_registry.hpp"
 
 namespace predis {
 
@@ -230,24 +229,22 @@ std::vector<Hash32> BlockTracer::keys_missing(TraceStage have,
   return out;
 }
 
-void BlockTracer::fold_into(MetricsRegistry& registry) const {
-  for (const auto& [name, samples] : stage_samples()) {
-    LatencyHistogram& h = registry.histogram("stage." + name);
-    for (double v : samples.samples()) h.record(v);
-  }
-  registry.counter("trace.entries").inc(entries_.size());
-  std::size_t total_bans = 0;
+std::size_t BlockTracer::total_bans() const {
+  std::size_t total = 0;
   for (const auto& [key, times] : bans_) {
     (void)key;
-    total_bans += times.size();
+    total += times.size();
   }
-  registry.counter("trace.bans").inc(total_bans);
-  std::size_t total_pulls = 0;
+  return total;
+}
+
+std::size_t BlockTracer::total_pulls() const {
+  std::size_t total = 0;
   for (const auto& [key, n] : pulls_) {
     (void)key;
-    total_pulls += n;
+    total += n;
   }
-  registry.counter("trace.pulls").inc(total_pulls);
+  return total;
 }
 
 std::vector<TraceAnomaly> BlockTracer::anomalies(

@@ -28,8 +28,6 @@
 
 namespace predis {
 
-class MetricsRegistry;
-
 enum class TraceStage : std::uint8_t {
   kTxEnqueued = 0,       ///< Oldest client tx packed into the bundle.
   kBundleProduced,       ///< Producer signed + multicast the bundle.
@@ -124,6 +122,10 @@ class BlockTracer {
   std::size_t ban_count(NodeId observer, NodeId producer) const;
   std::size_t pull_count(const Hash32& block, NodeId node) const;
   std::size_t entry_count() const { return entries_.size(); }
+  /// Every recorded ban, over all (observer, producer) pairs.
+  std::size_t total_bans() const;
+  /// Every recorded repair pull, over all (block, node) pairs.
+  std::size_t total_pulls() const;
 
   /// Stage-ordering invariant: among the stages observed for `key`,
   /// production stages (enqueue <= produced <= {quorum, stripes,
@@ -155,10 +157,6 @@ class BlockTracer {
   /// Keys that reached stage `have` but never reached stage `missing` —
   /// e.g. proposed-but-never-committed entries.
   std::vector<Hash32> keys_missing(TraceStage have, TraceStage missing) const;
-
-  /// Fold every interval sample into `registry` histograms named
-  /// "stage.<interval>".
-  void fold_into(MetricsRegistry& registry) const;
 
   struct AnomalyConfig {
     /// A committed block is stalled if unreconstructed this long after

@@ -43,7 +43,7 @@ std::optional<AttackKind> attack_from_flag(const std::string& flag) {
   return std::nullopt;
 }
 
-void configure_attack(sim::FaultPlanConfig& plan, AttackKind attack,
+void configure_attack(runtime::FaultPlanConfig& plan, AttackKind attack,
                       std::size_t events) {
   plan.crashes = false;
   plan.pair_partitions = false;

@@ -5,8 +5,8 @@
 // (performance-adversarial) leaders that stay just under the view
 // timeout, hostile garbage injectors and churn storms. configure_attack
 // maps a kind onto the seed-deterministic fault scheduler
-// (sim/faults.hpp), so an attack campaign is exactly as reproducible as
-// a crash/partition swarm run.
+// (runtime/faults.hpp), so an attack campaign is exactly as reproducible
+// as a crash/partition swarm run.
 //
 // The HostileInjector speaks every protocol's wire dialect and obeys
 // the forgeability rule: it only sends messages a real network attacker
@@ -24,7 +24,7 @@
 
 #include "core/experiment.hpp"
 #include "runtime/runtime.hpp"
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 
 namespace predis::core {
 
@@ -52,7 +52,7 @@ std::optional<AttackKind> attack_from_flag(const std::string& flag);
 /// adversarial placement Raptr-style analyses care about. kChurnStorm
 /// keeps random membership (a storm is not leader-specific); kNone
 /// yields an empty plan (clean baseline with identical scheduling).
-void configure_attack(sim::FaultPlanConfig& plan, AttackKind attack,
+void configure_attack(runtime::FaultPlanConfig& plan, AttackKind attack,
                       std::size_t events);
 
 /// Protocol-aware hostile-message injector. One instance per run; every

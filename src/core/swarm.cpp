@@ -8,7 +8,6 @@
 
 #include "common/codec.hpp"
 #include "core/recovery.hpp"
-#include "common/metrics_registry.hpp"
 #include "consensus/hotstuff/hotstuff_node.hpp"
 #include "consensus/narwhal/shared_mempool.hpp"
 #include "consensus/pbft/pbft_node.hpp"
@@ -44,7 +43,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   BlockTracer block_tracer;
 
   // --- Fault schedule --------------------------------------------------
-  sim::FaultPlanConfig fplan = cfg.faults;
+  runtime::FaultPlanConfig fplan = cfg.faults;
   fplan.seed = cfg.seed;
   if (cfg.attack != AttackKind::kNone) {
     configure_attack(fplan, cfg.attack, cfg.faults.events);
@@ -56,7 +55,7 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   // Equivocation needs a bundle producer to corrupt.
   fplan.equivocation =
       fplan.equivocation && has_predis_engine(cfg.protocol);
-  sim::FaultScheduler faults(net, consensus_ids, fplan);
+  runtime::FaultScheduler faults(net, consensus_ids, fplan);
 
   InvariantConfig icfg = cfg.invariants;
   icfg.n_nodes = cfg.n_consensus;
@@ -185,14 +184,12 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
     }
   }
   {
-    MetricsRegistry registry;
-    block_tracer.fold_into(registry);
+    // The tracer digest covers every stage timestamp, ban and pull. Fold
+    // the degradation metrics in as well: a nondeterministic commit
+    // count or latency tail must flip the digest even if the trace
+    // content itself happened to collide.
     Writer w;
-    w.hash(registry.digest());
     w.hash(block_tracer.digest());
-    // Fold the degradation metrics in as well: a nondeterministic
-    // commit count or latency tail must flip the digest even if the
-    // trace content itself happened to collide.
     w.u64(result.committed_txs);
     w.u64(static_cast<std::uint64_t>(result.production_p99_ms * 1000.0));
     result.metrics_digest = Sha256::hash(BytesView{w.data()});

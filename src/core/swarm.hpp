@@ -1,5 +1,5 @@
 // Fault-schedule swarm harness: run one seeded cluster simulation under
-// a deterministic fault plan (sim/faults.hpp) with every safety
+// a deterministic fault plan (runtime/faults.hpp) with every safety
 // invariant armed (core/invariants.hpp), and report violations plus a
 // trace digest that makes same-seed runs verifiably byte-identical.
 //
@@ -15,7 +15,7 @@
 #include "core/adversary.hpp"
 #include "core/experiment.hpp"
 #include "core/invariants.hpp"
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 
 namespace predis::core {
 
@@ -36,7 +36,7 @@ struct SwarmCaseConfig {
   /// Fault-plan shape; `seed` and (for equivocation) `max_equivocators`
   /// are overridden per case. Equivocation only fires for Predis-family
   /// protocols (the hook needs a bundle producer to corrupt).
-  sim::FaultPlanConfig faults;
+  runtime::FaultPlanConfig faults;
 
   /// When not kNone, the fault plan is reshaped into a single-attack
   /// adversary campaign (configure_attack): baseline fault kinds are
@@ -60,8 +60,9 @@ struct SwarmCaseResult {
 
   Hash32 trace_digest = kZeroHash;  ///< Running hash of every delivery.
   std::uint64_t trace_events = 0;
-  /// Digest over the folded metrics registry + block-lifecycle tracer.
-  /// Same seed must yield the same digest (observability determinism).
+  /// Digest over the block-lifecycle tracer, the committed count and
+  /// the production p99. Same seed must yield the same digest
+  /// (observability determinism).
   Hash32 metrics_digest = kZeroHash;
 
   std::uint64_t commits_checked = 0;

@@ -1,10 +1,10 @@
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 
 #include <algorithm>
 #include <map>
 #include <sstream>
 
-namespace predis::sim {
+namespace predis::runtime {
 
 const char* to_string(FaultKind kind) {
   switch (kind) {
@@ -40,7 +40,7 @@ static_assert(static_cast<std::size_t>(FaultKind::kPartition) + 1 ==
                   kFaultKindCount,
               "kFaultKindCount out of sync with FaultKind");
 
-FaultScheduler::FaultScheduler(runtime::Runtime& net, std::vector<NodeId> targets,
+FaultScheduler::FaultScheduler(Runtime& net, std::vector<NodeId> targets,
                                FaultPlanConfig config)
     : net_(net),
       targets_(std::move(targets)),
@@ -251,12 +251,21 @@ void FaultScheduler::build_plan() {
 }
 
 void FaultScheduler::arm() {
-  net_.set_drop_filter(
-      [this](NodeId from, NodeId to, const runtime::Message& msg) {
-        return should_drop(from, to, msg);
+  // Checked on the built events (a crash or throttle past its cap
+  // becomes jitter), and first, so a backend that rejects the hook is
+  // left unarmed.
+  const bool delays = std::any_of(
+      plan_.begin(), plan_.end(), [](const FaultEvent& ev) {
+        return ev.kind == FaultKind::kJitter ||
+               ev.kind == FaultKind::kThrottle;
       });
-  net_.set_extra_delay(
-      [this](NodeId from, NodeId to) { return extra_delay(from, to); });
+  if (delays) {
+    net_.set_extra_delay(
+        [this](NodeId from, NodeId to) { return extra_delay(from, to); });
+  }
+  net_.set_drop_filter([this](NodeId from, NodeId to, const Message& msg) {
+    return should_drop(from, to, msg);
+  });
   for (std::size_t i = 0; i < plan_.size(); ++i) {
     // arm() runs before start(), i.e. at time 0, so the relative delay
     // equals the absolute plan time on every backend.
@@ -269,6 +278,8 @@ void FaultScheduler::apply(const FaultEvent& ev) {
   ++injected_;
   const SimTime now = net_.now();
   const SimTime until = ev.at + ev.window;
+  // Only the hook-visible state is locked: runtime calls and harness
+  // hooks may send, and a send consults should_drop().
   switch (ev.kind) {
     case FaultKind::kCrash: {
       net_.set_node_down(ev.a, true);
@@ -278,21 +289,25 @@ void FaultScheduler::apply(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kPairPartition: {
+      std::lock_guard<std::mutex> lk(m_);
       pairs_.push_back({ev.a, ev.b, until});
       break;
     }
     case FaultKind::kZonePartition: {
+      std::lock_guard<std::mutex> lk(m_);
       cuts_.push_back(
           {std::set<NodeId>(ev.side.begin(), ev.side.end()), until});
       break;
     }
     case FaultKind::kJitter: {
+      std::lock_guard<std::mutex> lk(m_);
       jitter_max_ = now < jitter_until_ ? std::max(jitter_max_, ev.jitter)
                                         : ev.jitter;
       jitter_until_ = std::max(jitter_until_, until);
       break;
     }
     case FaultKind::kDrops: {
+      std::lock_guard<std::mutex> lk(m_);
       drop_p_ = now < drop_until_ ? std::max(drop_p_, ev.p) : ev.p;
       drop_until_ = std::max(drop_until_, until);
       break;
@@ -302,11 +317,15 @@ void FaultScheduler::apply(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kThrottle: {
+      std::lock_guard<std::mutex> lk(m_);
       throttles_.push_back({ev.a, ev.jitter, until});
       break;
     }
     case FaultKind::kWithhold: {
-      withholds_.push_back({ev.a, until});
+      {
+        std::lock_guard<std::mutex> lk(m_);
+        withholds_.push_back({ev.a, until});
+      }
       if (on_withhold) on_withhold(ev.a);
       break;
     }
@@ -335,8 +354,11 @@ void FaultScheduler::apply(const FaultEvent& ev) {
       break;
     }
     case FaultKind::kPartition: {
-      cuts_.push_back(
-          {std::set<NodeId>(ev.side.begin(), ev.side.end()), until});
+      {
+        std::lock_guard<std::mutex> lk(m_);
+        cuts_.push_back(
+            {std::set<NodeId>(ev.side.begin(), ev.side.end()), until});
+      }
       // The cut side missed every message for the window; poke its
       // recovery path at heal time (crash restarts get the same hook
       // from set_node_down).
@@ -349,9 +371,10 @@ void FaultScheduler::apply(const FaultEvent& ev) {
 }
 
 bool FaultScheduler::should_drop(NodeId from, NodeId to,
-                                 const runtime::Message& msg) {
+                                 const Message& msg) {
   if (!is_target(from) || !is_target(to)) return false;
   const SimTime now = net_.now();
+  std::lock_guard<std::mutex> lk(m_);
   for (const ActiveWithhold& w : withholds_) {
     if (now >= w.until || from != w.node) continue;
     if (withhold_names_.count(msg.name()) != 0) return true;
@@ -373,6 +396,7 @@ bool FaultScheduler::should_drop(NodeId from, NodeId to,
 SimTime FaultScheduler::extra_delay(NodeId from, NodeId to) {
   if (!is_target(from) || !is_target(to)) return 0;
   const SimTime now = net_.now();
+  std::lock_guard<std::mutex> lk(m_);
   SimTime delay = 0;
   for (const ActiveThrottle& t : throttles_) {
     if (now < t.until && from == t.node) delay = std::max(delay, t.delay);
@@ -425,4 +449,4 @@ std::string FaultScheduler::describe() const {
   return oss.str();
 }
 
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -9,20 +9,25 @@
 // (set_node_down, DropFilter, DelayFn). Every random choice comes from
 // the scheduler's own Rng and every action is scheduled through the
 // runtime's timer seam, so two runs with the same seed on a
-// deterministic backend replay the exact same fault sequence. (The
-// scheduler itself is not thread-safe: swarm campaigns run it on
-// deterministic backends only.)
+// deterministic backend replay the exact same fault sequence. The
+// active-fault state sits behind one mutex, so on ThreadRuntime the
+// hooks may run on sending workers while events apply on the timer
+// thread. Delay faults (jitter, throttle) need a backend with a delay
+// model: ThreadRuntime rejects them.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_annotations.hpp"
 #include "runtime/runtime.hpp"
 
-namespace predis::sim {
+namespace predis::runtime {
 
 enum class FaultKind {
   kCrash,          ///< Node down, restarts after the window.
@@ -126,11 +131,12 @@ class FaultScheduler {
  public:
   /// `targets` are the nodes faults apply to (the consensus group);
   /// traffic to or from non-targets (clients) is never disturbed.
-  FaultScheduler(runtime::Runtime& net, std::vector<NodeId> targets,
+  FaultScheduler(Runtime& net, std::vector<NodeId> targets,
                  FaultPlanConfig config);
 
-  /// Install the drop filter / delay hook on the runtime and schedule
-  /// every planned event. Call before Runtime::start().
+  /// Install the drop filter on the runtime, plus the delay hook when
+  /// the plan holds a jitter or throttle event, and schedule every
+  /// planned event. Call before Runtime::start().
   void arm();
 
   const std::vector<FaultEvent>& plan() const { return plan_; }
@@ -139,7 +145,7 @@ class FaultScheduler {
   SimTime healed_by() const { return healed_by_; }
 
   /// Events whose injection time has passed (after a run: all of them).
-  std::size_t faults_injected() const { return injected_; }
+  std::size_t faults_injected() const { return injected_.load(); }
 
   /// One line per planned event, for repro logs.
   std::string describe() const;
@@ -159,19 +165,21 @@ class FaultScheduler {
  private:
   void build_plan();
   void apply(const FaultEvent& event);
-  bool should_drop(NodeId from, NodeId to, const runtime::Message& msg);
+  bool should_drop(NodeId from, NodeId to, const Message& msg);
   SimTime extra_delay(NodeId from, NodeId to);
   bool is_target(NodeId id) const;
 
-  runtime::Runtime& net_;
+  Runtime& net_;
   std::vector<NodeId> targets_;
   FaultPlanConfig cfg_;
-  Rng rng_;       ///< Plan construction (exhausted before the run).
-  Rng drop_rng_;  ///< Runtime per-message drop/jitter decisions.
+  Rng rng_;  ///< Plan construction (exhausted before the run).
 
   std::vector<FaultEvent> plan_;
   SimTime healed_by_ = 0;
-  std::size_t injected_ = 0;
+  std::atomic<std::size_t> injected_{0};
+
+  std::mutex m_;  ///< Guards what the drop/delay hooks consult.
+  Rng drop_rng_ PREDIS_GUARDED_BY(m_);  ///< Per-message drop/jitter draws.
 
   // Active-fault state consulted by the installed hooks.
   struct ActiveCut {
@@ -192,15 +200,15 @@ class FaultScheduler {
     NodeId node = kNoNode;
     SimTime until = 0;
   };
-  std::vector<ActiveCut> cuts_;
-  std::vector<ActivePair> pairs_;
-  std::vector<ActiveThrottle> throttles_;
-  std::vector<ActiveWithhold> withholds_;
+  std::vector<ActiveCut> cuts_ PREDIS_GUARDED_BY(m_);
+  std::vector<ActivePair> pairs_ PREDIS_GUARDED_BY(m_);
+  std::vector<ActiveThrottle> throttles_ PREDIS_GUARDED_BY(m_);
+  std::vector<ActiveWithhold> withholds_ PREDIS_GUARDED_BY(m_);
   std::set<std::string> withhold_names_;
-  double drop_p_ = 0.0;
-  SimTime drop_until_ = 0;
-  SimTime jitter_max_ = 0;
-  SimTime jitter_until_ = 0;
+  double drop_p_ PREDIS_GUARDED_BY(m_) = 0.0;
+  SimTime drop_until_ PREDIS_GUARDED_BY(m_) = 0;
+  SimTime jitter_max_ PREDIS_GUARDED_BY(m_) = 0;
+  SimTime jitter_until_ PREDIS_GUARDED_BY(m_) = 0;
 };
 
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -175,6 +175,8 @@ class Runtime {
   virtual void set_drop_filter(DropFilter filter) = 0;
 
   /// Optional extra one-way delay injected per (from, to) pair.
+  /// Backends without a delay model throw std::logic_error on a
+  /// non-empty hook.
   using DelayFn = std::function<SimTime(NodeId from, NodeId to)>;
   virtual void set_extra_delay(DelayFn fn) = 0;
 

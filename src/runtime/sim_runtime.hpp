@@ -1,30 +1,37 @@
 // SimRuntime: the deterministic discrete-event backend and the tree's
-// only oracle. A sim::Simulator event queue drives the LinkModel fluid
-// network (per-node uplink/downlink bandwidth with FIFO serialization,
-// a region latency matrix, fault hooks, byte accounting), so a seed
-// fixes every delivery timestamp. tests/runtime/test_golden_digests.cpp
-// pins its delivery-trace and commit digests.
+// only oracle. One (time, insertion-sequence) event queue drives the
+// LinkModel fluid network (per-node uplink/downlink bandwidth with FIFO
+// serialization, a region latency matrix, fault hooks, byte
+// accounting), so a seed fixes every delivery timestamp and two runs
+// with the same seed produce byte-identical traces.
+// tests/runtime/test_golden_digests.cpp pins its delivery-trace and
+// commit digests.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <queue>
 #include <vector>
 
 #include "runtime/link_model.hpp"
 #include "runtime/runtime.hpp"
-#include "sim/simulator.hpp"
 
 namespace predis::runtime {
 
 class SimRuntime final : public Runtime {
  public:
   explicit SimRuntime(LatencyMatrix latency) : links_(std::move(latency)) {}
+  SimRuntime(const SimRuntime&) = delete;
+  SimRuntime& operator=(const SimRuntime&) = delete;
 
   /// The backend interface actors and harnesses talk to.
   Runtime& runtime() { return *this; }
 
-  /// Escape hatch for sim-level instrumentation (event counts,
-  /// drain-to-empty runs).
-  sim::Simulator& simulator() { return sim_; }
+  /// Kept for perfbench's `simulator().events_executed()` / `.now()`
+  /// reads; goes with the next benchmark change.
+  const SimRuntime& simulator() const { return *this; }
 
   NodeId add_node(const NodeConfig& config) override {
     return links_.add_node(config);
@@ -36,25 +43,17 @@ class SimRuntime final : public Runtime {
     return links_.region_of(id);
   }
 
-  SimTime now() const override { return sim_.now(); }
+  SimTime now() const override { return now_; }
+
+  /// Schedule `fn` at absolute simulated time `t` (>= now).
+  TimerHandle schedule_at(SimTime t, std::function<void()> fn);
 
   /// Owner is irrelevant on the single-threaded backend: every
   /// callback already serializes through the one event queue.
-  TimerHandle schedule(NodeId /*owner*/, SimTime delay,
-                       std::function<void()> fn) override {
-    return sim_.schedule_after(delay, std::move(fn));
-  }
+  TimerHandle schedule(NodeId owner, SimTime delay,
+                       std::function<void()> fn) override;
 
-  void send(NodeId from, NodeId to, MsgPtr msg) override {
-    const auto plan = links_.plan_send(from, to, *msg, sim_.now());
-    if (!plan.deliver) return;
-    sim_.schedule_at(
-        plan.at, [this, from, to, msg = std::move(msg), size = plan.size]() {
-          Actor* actor =
-              links_.complete_delivery(from, to, size, sim_.now(), *msg);
-          if (actor != nullptr) actor->on_message(from, msg);
-        });
-  }
+  void send(NodeId from, NodeId to, MsgPtr msg) override;
 
   void multicast(NodeId from, const std::vector<NodeId>& to,
                  const MsgPtr& msg) override {
@@ -70,8 +69,12 @@ class SimRuntime final : public Runtime {
     }
   }
 
-  /// Drive the event queue up to `limit` (inclusive).
-  void run_until(SimTime limit) override { sim_.run_until(limit); }
+  /// Execute every event due at or before `limit` in (time, seq)
+  /// order, then advance the clock to `limit`.
+  void run_until(SimTime limit) override;
+
+  /// Total events executed so far (cancelled timers excluded).
+  std::uint64_t events_executed() const { return executed_; }
 
   // --- Fault injection -----------------------------------------------
 
@@ -98,14 +101,30 @@ class SimRuntime final : public Runtime {
   TrafficStats stats(NodeId id) const override { return links_.stats(id); }
 
   SimTime uplink_backlog(NodeId id) const override {
-    return links_.uplink_backlog(id, sim_.now());
+    return links_.uplink_backlog(id, now_);
   }
   std::uint64_t total_bytes_sent() const override {
     return links_.total_bytes_sent();
   }
 
  private:
-  sim::Simulator sim_;
+  struct Event {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    std::shared_ptr<std::atomic<bool>> alive;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
   LinkModel links_;
 };
 

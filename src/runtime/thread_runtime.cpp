@@ -338,8 +338,15 @@ void ThreadRuntime::set_drop_filter(DropFilter filter) {
   drop_filter_ = std::move(filter);
 }
 
-// No modeled propagation delay to add to.
-void ThreadRuntime::set_extra_delay(DelayFn) {}
+// No modeled propagation delay to add to: refuse a delay hook rather
+// than run a throttle or jitter campaign that silently injects nothing.
+void ThreadRuntime::set_extra_delay(DelayFn fn) {
+  if (fn) {
+    throw std::logic_error(
+        "ThreadRuntime::set_extra_delay: no delay model on the wall "
+        "backend; throttle and jitter faults need the sim backend");
+  }
+}
 
 // No deterministic delivery order to fold.
 void ThreadRuntime::set_tracer(TraceHasher*) {}

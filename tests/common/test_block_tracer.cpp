@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/metrics_registry.hpp"
 
 namespace predis {
 namespace {
@@ -76,22 +75,22 @@ TEST(BlockTracer, StageSamplesDeriveNamedIntervals) {
   EXPECT_TRUE(saw_production);
 }
 
-TEST(BlockTracer, FoldIntoRegistersStageHistogramsAndCounters) {
+TEST(BlockTracer, TotalsCountEntriesBansAndPulls) {
   BlockTracer t;
   t.record(TraceStage::kCutProposed, kKeyA, milliseconds(10));
   t.record(TraceStage::kBlockCommitted, kKeyA, milliseconds(60));
   t.record_ban(0, 3, milliseconds(5));
+  t.record_ban(0, 3, milliseconds(6));
+  t.record_ban(1, 3, milliseconds(7));
   t.record_pull(kKeyB, 2, milliseconds(7));
-
-  MetricsRegistry r;
-  t.fold_into(r);
-  ASSERT_EQ(r.histograms().count("stage.production"), 1u);
-  EXPECT_EQ(r.histograms().at("stage.production").count(), 1u);
+  t.record_pull(kKeyB, 2, milliseconds(8));
+  t.record_pull(kKeyA, 1, milliseconds(9));
   // Pulls are tracked per (block, node), not as trace entries: only
   // kKeyA's stage records created an entry.
-  EXPECT_EQ(r.counters().at("trace.entries").value(), 1u);
-  EXPECT_EQ(r.counters().at("trace.bans").value(), 1u);
-  EXPECT_EQ(r.counters().at("trace.pulls").value(), 1u);
+  EXPECT_EQ(t.entry_count(), 1u);
+  // Totals sum over every (observer, producer) and (block, node) pair.
+  EXPECT_EQ(t.total_bans(), 3u);
+  EXPECT_EQ(t.total_pulls(), 3u);
 }
 
 // --- Anomaly detectors --------------------------------------------------

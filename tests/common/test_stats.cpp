@@ -45,6 +45,39 @@ TEST(Percentiles, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(p.mean(), 0.0);
 }
 
+TEST(Percentiles, SingleSampleClampsEveryPercentile) {
+  Percentiles p;
+  p.add(37.25);
+  for (double q : {0.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+    EXPECT_DOUBLE_EQ(p.percentile(q), 37.25) << "p" << q;
+  }
+}
+
+TEST(Percentiles, HeavyTailStragglersReportedExactly) {
+  // A tight 20-29 ms body plus five multi-second stragglers (the shape
+  // of the pull-retry tail the block tracer once saw). 2001 samples put
+  // p99.9 at rank 1998 of the sorted set: the third-largest straggler.
+  Percentiles p;
+  for (int i = 0; i < 1996; ++i) p.add(20.0 + (i % 10));
+  for (double s : {4364.5, 980.0, 3600.0, 1500.0, 2200.0}) p.add(s);
+  ASSERT_EQ(p.count(), 2001u);
+  EXPECT_EQ(p.percentile(100.0), 4364.5);  // max is the sample itself
+  EXPECT_NEAR(p.percentile(99.9), 2200.0, 1e-6);
+  EXPECT_GE(p.percentile(50.0), 20.0);
+  EXPECT_LE(p.percentile(50.0), 29.0);
+  EXPECT_LT(p.percentile(95.0), 100.0);
+}
+
+TEST(Percentiles, ExtremeValuesDoNotOverflow) {
+  Percentiles p;
+  p.add(5.0);
+  p.add(1e15);  // ~31,700 years in milliseconds
+  EXPECT_EQ(p.percentile(100.0), 1e15);
+  EXPECT_EQ(p.percentile(0.0), 5.0);
+  EXPECT_DOUBLE_EQ(p.percentile(50.0), (5.0 + 1e15) / 2.0);
+  EXPECT_DOUBLE_EQ(p.mean(), (5.0 + 1e15) / 2.0);
+}
+
 TEST(Metrics, ThroughputCountsWindowOnly) {
   Metrics m;
   m.record_commit(seconds(1), 100);

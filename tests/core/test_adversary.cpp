@@ -49,7 +49,7 @@ TEST(AttackKind, FlagParserRoundTripsAndRejectsJunk) {
 }
 
 TEST(ConfigureAttack, DisablesBaselineKindsAndPinsLeader) {
-  sim::FaultPlanConfig plan;
+  runtime::FaultPlanConfig plan;
   configure_attack(plan, AttackKind::kThrottle, 5);
   EXPECT_FALSE(plan.crashes);
   EXPECT_FALSE(plan.pair_partitions);
@@ -64,7 +64,7 @@ TEST(ConfigureAttack, DisablesBaselineKindsAndPinsLeader) {
 }
 
 TEST(ConfigureAttack, ChurnKeepsRandomMembership) {
-  sim::FaultPlanConfig plan;
+  runtime::FaultPlanConfig plan;
   configure_attack(plan, AttackKind::kChurnStorm, 3);
   EXPECT_TRUE(plan.churn_storms);
   // A storm is not leader-specific: membership stays seed-random.
@@ -72,7 +72,7 @@ TEST(ConfigureAttack, ChurnKeepsRandomMembership) {
 }
 
 TEST(ConfigureAttack, NoneYieldsEmptyPlan) {
-  sim::FaultPlanConfig plan;
+  runtime::FaultPlanConfig plan;
   configure_attack(plan, AttackKind::kNone, 4);
   runtime::SimRuntime backend(
       runtime::LatencyMatrix::uniform(1, milliseconds(10)));
@@ -81,7 +81,7 @@ TEST(ConfigureAttack, NoneYieldsEmptyPlan) {
   for (int i = 0; i < 4; ++i) {
     ids.push_back(net.add_node(runtime::NodeConfig{}));
   }
-  sim::FaultScheduler fs(net, ids, plan);
+  runtime::FaultScheduler fs(net, ids, plan);
   EXPECT_TRUE(fs.plan().empty());
 }
 

@@ -1,5 +1,5 @@
 // FaultScheduler: seed determinism, plan shape, and network effects.
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,18 +8,16 @@
 
 #include "runtime/sim_runtime.hpp"
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 struct Fixture {
-  runtime::SimRuntime net{
-      runtime::LatencyMatrix::uniform(1, milliseconds(10))};
-  Simulator& sim = net.simulator();
+  SimRuntime net{LatencyMatrix::uniform(1, milliseconds(10))};
   std::vector<NodeId> targets;
 
   explicit Fixture(std::size_t n = 4) {
     for (std::size_t i = 0; i < n; ++i) {
-      targets.push_back(net.add_node(runtime::NodeConfig{}));
+      targets.push_back(net.add_node(NodeConfig{}));
     }
   }
 };
@@ -78,7 +76,7 @@ TEST(FaultScheduler, InjectsEveryEventAndHealsByDeadline) {
   Fixture f;
   FaultScheduler fs(f.net, f.targets, cfg);
   fs.arm();
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
 
   EXPECT_EQ(fs.faults_injected(), cfg.events);
   // Every crash healed: no target still down.
@@ -103,7 +101,7 @@ TEST(FaultScheduler, EquivocatorPopulationStaysWithinCap) {
   std::vector<NodeId> hits;
   fs.on_equivocate = [&](NodeId id) { hits.push_back(id); };
   fs.arm();
-  f.sim.run_until(cfg.horizon + seconds(1));
+  f.net.run_until(cfg.horizon + seconds(1));
 
   ASSERT_GE(hits.size(), 1u);
   const std::set<NodeId> distinct(hits.begin(), hits.end());
@@ -190,25 +188,25 @@ TEST(FaultScheduler, GarbageHookFiresOnPinnedNodeOnly) {
     hits.push_back(id);
   };
   fs.arm();
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
   ASSERT_GE(hits.size(), 1u);
   for (NodeId id : hits) EXPECT_EQ(id, f.targets[1]);
 }
 
 // Named test messages for the data-plane withholding filter.
-struct BundleLikeMsg final : runtime::Message {
+struct BundleLikeMsg final : Message {
   std::size_t wire_size() const override { return 64; }
   const char* name() const override { return "Bundle"; }
 };
-struct VoteLikeMsg final : runtime::Message {
+struct VoteLikeMsg final : Message {
   std::size_t wire_size() const override { return 64; }
   const char* name() const override { return "Prepare"; }
 };
 
-struct CountingActor final : runtime::Actor {
+struct CountingActor final : Actor {
   std::size_t bundles = 0;
   std::size_t votes = 0;
-  void on_message(NodeId, const runtime::MsgPtr& msg) override {
+  void on_message(NodeId, const MsgPtr& msg) override {
     if (std::string(msg->name()) == "Bundle") ++bundles;
     if (std::string(msg->name()) == "Prepare") ++votes;
   }
@@ -229,29 +227,29 @@ TEST(FaultScheduler, WithholderSwallowsDataPlaneButNotVotes) {
   ASSERT_EQ(fs.plan().size(), 1u);
   const FaultEvent ev = fs.plan()[0];
   // Mid-window: data-plane names dropped, votes pass.
-  f.sim.schedule_at(ev.at + ev.window / 2, [&] {
+  f.net.schedule_at(ev.at + ev.window / 2, [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<BundleLikeMsg>());
     f.net.send(f.targets[0], f.targets[1], std::make_shared<VoteLikeMsg>());
   });
   // Post-heal: everything flows again.
-  f.sim.schedule_at(ev.at + ev.window + seconds(1), [&] {
+  f.net.schedule_at(ev.at + ev.window + seconds(1), [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<BundleLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   EXPECT_EQ(rx.votes, 1u);
   EXPECT_EQ(rx.bundles, 1u);  // only the post-heal one
   ASSERT_EQ(withholders.size(), 1u);
   EXPECT_EQ(withholders[0], f.targets[0]);
 }
 
-struct StampActor final : runtime::Actor {
-  Simulator* sim = nullptr;
+struct StampActor final : Actor {
+  const Runtime* net = nullptr;
   std::vector<SimTime> arrivals;
-  void on_message(NodeId, const runtime::MsgPtr&) override {
-    arrivals.push_back(sim->now());
+  void on_message(NodeId, const MsgPtr&) override {
+    arrivals.push_back(net->now());
   }
 };
 
@@ -263,19 +261,19 @@ TEST(FaultScheduler, ThrottleDelaysOutboundUnderTimeout) {
   cfg.throttle_delay = milliseconds(400);
   Fixture f;
   StampActor rx;
-  rx.sim = &f.sim;
+  rx.net = &f.net;
   f.net.attach(f.targets[1], &rx);
   FaultScheduler fs(f.net, f.targets, cfg);
   fs.arm();
   ASSERT_EQ(fs.plan().size(), 1u);
   const FaultEvent ev = fs.plan()[0];
   const SimTime sent_at = ev.at + ev.window / 2;
-  f.sim.schedule_at(sent_at, [&] {
+  f.net.schedule_at(sent_at, [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<VoteLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   ASSERT_EQ(rx.arrivals.size(), 1u);
   // The base fixture latency is 10 ms; anything near throttle_delay
   // proves the slow-leader path engaged.
@@ -295,7 +293,7 @@ TEST(FaultScheduler, ChurnStormKeepsAtMostOneNodeDown) {
   bool saw_down = false;
   // Sample the down-set densely across the whole storm.
   for (SimTime t = cfg.start; t < fs.healed_by(); t += milliseconds(5)) {
-    f.sim.schedule_at(t, [&] {
+    f.net.schedule_at(t, [&] {
       std::size_t down = 0;
       for (NodeId id : f.targets) {
         if (f.net.is_down(id)) ++down;
@@ -304,7 +302,7 @@ TEST(FaultScheduler, ChurnStormKeepsAtMostOneNodeDown) {
       saw_down = saw_down || down > 0;
     });
   }
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
   EXPECT_TRUE(saw_down);
   EXPECT_LE(max_down, 1u);
   for (NodeId id : f.targets) EXPECT_FALSE(f.net.is_down(id));
@@ -338,10 +336,10 @@ TEST(FaultScheduler, PartitionPlanCutsDeterministicMinority) {
   }
 }
 
-struct ReconnectActor final : runtime::Actor {
+struct ReconnectActor final : Actor {
   std::size_t messages = 0;
   std::size_t restarts = 0;
-  void on_message(NodeId, const runtime::MsgPtr&) override { ++messages; }
+  void on_message(NodeId, const MsgPtr&) override { ++messages; }
   void on_restart() override { ++restarts; }
 };
 
@@ -363,17 +361,17 @@ TEST(FaultScheduler, PartitionCutsLinksBidirectionallyAndHeals) {
   f.net.attach(other, &on_other);
   fs.arm();
   // Mid-window: both directions across the cut are severed.
-  f.sim.schedule_at(ev.at + ev.window / 2, [&] {
+  f.net.schedule_at(ev.at + ev.window / 2, [&] {
     f.net.send(other, cut, std::make_shared<VoteLikeMsg>());
     f.net.send(cut, other, std::make_shared<VoteLikeMsg>());
   });
   // Post-heal: traffic flows again.
-  f.sim.schedule_at(ev.at + ev.window + seconds(1), [&] {
+  f.net.schedule_at(ev.at + ev.window + seconds(1), [&] {
     f.net.send(other, cut, std::make_shared<VoteLikeMsg>());
     f.net.send(cut, other, std::make_shared<VoteLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   EXPECT_EQ(on_cut.messages, 1u);
   EXPECT_EQ(on_other.messages, 1u);
   // Heal pokes the cut side's recovery hook exactly once; the node
@@ -383,4 +381,4 @@ TEST(FaultScheduler, PartitionCutsLinksBidirectionallyAndHeals) {
 }
 
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -40,9 +40,12 @@ NodeConfig slow_node() {
 
 constexpr std::size_t kBody = 1000 - Runtime::kTransportOverhead;
 
+/// Longer than any delivery in these tests takes to settle.
+constexpr SimTime kSettle = seconds(60);
+
 struct NetFixture {
   SimRuntime net{LatencyMatrix::uniform(1, milliseconds(100))};
-  void run() { net.simulator().run(); }
+  void run() { net.run_until(net.now() + kSettle); }
 };
 
 TEST(Network, SingleTransferTiming) {
@@ -171,7 +174,7 @@ TEST(Network, RegionLatencyMatrixRespected) {
   net.attach(b, &rec);
 
   net.send(a, b, std::make_shared<TestMsg>(0));
-  net.simulator().run();
+  net.run_until(kSettle);
   ASSERT_EQ(rec.deliveries.size(), 1u);
   // 64-byte overhead at 12.5 MB/s is ~5.1 us; latency dominates.
   EXPECT_GT(rec.deliveries[0].second, milliseconds(15));

@@ -30,9 +30,12 @@ NodeConfig slow_node() {
 
 constexpr std::size_t kBody = 1000 - Runtime::kTransportOverhead;
 
+/// Longer than any delivery in these tests takes to settle.
+constexpr SimTime kSettle = seconds(60);
+
 struct NetFixture {
   SimRuntime net{LatencyMatrix::uniform(1, milliseconds(10))};
-  void run() { net.simulator().run(); }
+  void run() { net.run_until(net.now() + kSettle); }
 };
 
 TEST(NetworkFaults, DropFilterCountsDroppedMessages) {

@@ -7,9 +7,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "common/thread_annotations.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/runtime.hpp"
 
 namespace predis::runtime {
@@ -248,6 +252,117 @@ TEST(ThreadRuntimeWall, RejectsInvalidNodesAndNegativeDelays) {
   const NodeId id = net.add_node(bad);
   EXPECT_EQ(net.region_of(id), 1u);
   EXPECT_THROW(net.schedule(id, -1, [] {}), std::invalid_argument);
+}
+
+/// Pings every peer on a 1 ms owner timer and counts restarts, so a
+/// fault plan has steady traffic to drop and a node to crash.
+struct Ticker final : Actor {
+  Ticker(Runtime& net, NodeId self, std::vector<NodeId> peers)
+      : net_(net), self_(self), peers_(std::move(peers)) {}
+
+  void on_start() override { tick(); }
+  void on_message(NodeId, const MsgPtr&) override { ++received; }
+  void on_restart() override { ++restarts; }
+
+  void tick() {
+    for (NodeId peer : peers_) {
+      if (peer != self_) net_.send(self_, peer, std::make_shared<PingMsg>());
+    }
+    PREDIS_FIRE_AND_FORGET(
+        net_.schedule(self_, milliseconds(1), [this] { tick(); }));
+  }
+
+  std::atomic<std::uint64_t> received{0};
+  std::atomic<int> restarts{0};
+
+ private:
+  Runtime& net_;
+  NodeId self_;
+  std::vector<NodeId> peers_;
+};
+
+/// Crashes and drops only: none of the kinds that need a delay model.
+/// Seed 4 draws two crashes and two drop windows; a crash past the
+/// concurrency cap would degrade to jitter instead.
+FaultPlanConfig crash_drop_plan() {
+  FaultPlanConfig plan;
+  plan.seed = 4;
+  plan.events = 4;
+  plan.start = milliseconds(20);
+  plan.horizon = milliseconds(100);
+  plan.min_window = milliseconds(20);
+  plan.max_window = milliseconds(60);
+  plan.max_crashed = 2;
+  plan.pair_partitions = false;
+  plan.zone_partitions = false;
+  plan.jitter = false;
+  return plan;
+}
+
+TEST(ThreadRuntimeWall, CrashAndDropPlanArmsAndRuns) {
+  ThreadRuntimeConfig cfg;
+  cfg.workers = 2;
+  ThreadRuntime net(cfg);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(net.add_node({}));
+  std::vector<std::unique_ptr<Ticker>> actors;
+  for (NodeId id : ids) {
+    actors.push_back(std::make_unique<Ticker>(net, id, ids));
+    net.attach(id, actors.back().get());
+  }
+
+  FaultScheduler faults(net, ids, crash_drop_plan());
+  std::size_t crashes = 0;
+  std::size_t drops = 0;
+  for (const FaultEvent& ev : faults.plan()) {
+    ASSERT_TRUE(ev.kind == FaultKind::kCrash || ev.kind == FaultKind::kDrops)
+        << to_string(ev.kind);
+    (ev.kind == FaultKind::kCrash ? crashes : drops) += 1;
+  }
+  ASSERT_GT(crashes, 0u);
+  ASSERT_GT(drops, 0u);
+  ASSERT_LT(faults.healed_by(), milliseconds(200));
+
+  faults.arm();
+  net.start();
+  net.run_until(milliseconds(400));
+
+  EXPECT_EQ(faults.faults_injected(), faults.plan().size());
+  int restarts = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  std::uint64_t dropped_while_down = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    restarts += actors[i]->restarts.load();
+    sent += net.stats(ids[i]).messages_sent;
+    received += actors[i]->received.load();
+    dropped_while_down += net.stats(ids[i]).messages_dropped;
+  }
+  // Every crashed node came back up, and lost traffic while down.
+  EXPECT_EQ(static_cast<std::size_t>(restarts), crashes);
+  EXPECT_GT(dropped_while_down, 0u);
+  EXPECT_GT(received, 0u);
+  EXPECT_LT(received, sent);
+}
+
+TEST(ThreadRuntimeWall, DelayFaultsAreRejected) {
+  ThreadRuntimeConfig cfg;
+  cfg.workers = 1;
+  ThreadRuntime net(cfg);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(net.add_node({}));
+
+  EXPECT_THROW(net.set_extra_delay([](NodeId, NodeId) { return SimTime{1}; }),
+               std::logic_error);
+  EXPECT_NO_THROW(net.set_extra_delay(nullptr));
+
+  FaultPlanConfig plan = crash_drop_plan();
+  plan.crashes = false;
+  plan.drops = false;
+  plan.jitter = true;
+  FaultScheduler faults(net, ids, plan);
+  ASSERT_FALSE(faults.plan().empty());
+  EXPECT_THROW(faults.arm(), std::logic_error);
 }
 
 }  // namespace

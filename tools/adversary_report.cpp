@@ -25,7 +25,7 @@
 #include "common/thread_annotations.hpp"
 #include "core/swarm.hpp"
 #include "multizone/experiments.hpp"
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 #include "report.hpp"
 
 namespace {
@@ -119,7 +119,7 @@ ProtocolReport run_swarm_campaign(Protocol protocol, bool smoke) {
 /// stripe source, withhold/garbage/churn hit full nodes (the first-
 /// joined node of zone 0, which Algorithm 1 makes a relayer).
 struct GossipCampaignState {
-  std::unique_ptr<predis::sim::FaultScheduler> faults;
+  std::unique_ptr<predis::runtime::FaultScheduler> faults;
   std::size_t hostile_msgs = 0;
 };
 
@@ -154,7 +154,7 @@ ProtocolReport run_gossip_campaign(bool smoke) {
                                  predis::runtime::Runtime& net,
                                  const std::vector<predis::NodeId>& consensus,
                                  const std::vector<predis::NodeId>& full) {
-        predis::sim::FaultPlanConfig plan;
+        predis::runtime::FaultPlanConfig plan;
         predis::core::configure_attack(plan, attack, smoke ? 2 : 3);
         plan.seed = cfg.seed;
         plan.start = setup + predis::seconds(1);
@@ -163,7 +163,7 @@ ProtocolReport run_gossip_campaign(bool smoke) {
         // the other attacks come from inside the full-node swarm.
         const bool consensus_side = attack == AttackKind::kThrottle;
         const auto& targets = consensus_side ? consensus : full;
-        state.faults = std::make_unique<predis::sim::FaultScheduler>(
+        state.faults = std::make_unique<predis::runtime::FaultScheduler>(
             net, targets, plan);
         state.faults->on_garbage = [&state, &net, consensus, full](
                                        predis::NodeId id,

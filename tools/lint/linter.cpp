@@ -381,8 +381,8 @@ const char* rule_catalogue() {
   return
       "D1  no unordered_map/unordered_set iteration in protocol-visible\n"
       "    code (send/hash/digest/fold/serialize reachability)\n"
-      "D2  no wall clock, std::rand or global RNG outside src/sim and\n"
-      "    the seeded rng implementation\n"
+      "D2  no wall clock, std::rand or global RNG outside the seeded\n"
+      "    rng implementation\n"
       "D3  Expected<T>-returning and non-void try_* APIs are\n"
       "    [[nodiscard]] and their results are never discarded\n"
       "D4  on_* message handlers bounds/ban-check the sender and\n"

@@ -9,9 +9,9 @@
 //       code that emits messages, hashes, folds metrics or builds
 //       Merkle/digest inputs (iteration order leaks into
 //       protocol-visible bytes and breaks replay determinism)
-//   D2  no wall clock / std::rand / global RNG outside src/sim and the
-//       seeded rng implementation (all time and randomness must flow
-//       through the simulator and Rng)
+//   D2  no wall clock / std::rand / global RNG outside the seeded rng
+//       implementation (all time must flow through Runtime::now() and
+//       all randomness through Rng)
 //   D3  every Expected<T>-returning and non-void try_* API is declared
 //       [[nodiscard]], and no call site silently discards the result
 //   D4  message handlers (on_* methods taking a sender id and a *Msg

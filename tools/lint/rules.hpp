@@ -28,7 +28,7 @@ void emit(Context& ctx, std::size_t line, const std::string& rule,
 
 // Core (token-level) rules.
 void run_d1(Context& ctx);  ///< No unordered iteration feeding protocol bytes.
-void run_d2(Context& ctx);  ///< No ambient clock/RNG outside sim/.
+void run_d2(Context& ctx);  ///< No ambient clock/RNG outside rng.*.
 void run_d3_call_sites(Context& ctx);  ///< No discarded Expected/try_*.
 void run_d4(Context& ctx);  ///< Handler sender/index bounds checks.
 void run_d5(Context& ctx);  ///< Casts fenced into low-level TUs.

@@ -91,11 +91,9 @@ void run_d1(Context& ctx) {
   }
 }
 
-// --- D2: wall clock / global RNG outside the simulator --------------------
+// --- D2: wall clock / global RNG outside the seeded Rng --------------------
 
 void run_d2(Context& ctx) {
-  const std::string generic = fs::path(ctx.file.path).generic_string();
-  if (generic.find("/sim/") != std::string::npos) return;
   if (basename_starts_with_any(ctx.file.path, {"rng."})) return;
 
   static const std::set<std::string> kBanned = {
@@ -110,8 +108,8 @@ void run_d2(Context& ctx) {
     if (kBanned.count(t[i].text) != 0) {
       emit(ctx, t[i].line, "D2",
            "'" + t[i].text +
-               "' outside sim/: all time and randomness must flow through "
-               "the simulator clock and the seeded Rng");
+               "' outside the seeded Rng: all time must flow through "
+               "Runtime::now() and all randomness through the seeded Rng");
       continue;
     }
     if ((t[i].text == "rand" || t[i].text == "clock" ||
@@ -126,8 +124,8 @@ void run_d2(Context& ctx) {
       }
       emit(ctx, t[i].line, "D2",
            "'" + t[i].text +
-               "()' outside sim/: wall-clock time and the C RNG break "
-               "seeded replay");
+               "()' outside the seeded Rng: wall-clock time and the C RNG "
+               "break seeded replay");
     }
   }
 }

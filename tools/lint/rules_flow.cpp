@@ -35,12 +35,10 @@ void run_d7(Context& ctx) {
 // --- D8: timer-handle lifecycle --------------------------------------------
 
 void run_d8(Context& ctx) {
-  // The runtime implementations own their internal scheduling; the sim
-  // backend predates the TimerHandle API. Everything else must account
-  // for every handle Runtime::schedule()/after() returns.
-  if (under_dir(ctx.file.path, "runtime") || under_dir(ctx.file.path, "sim")) {
-    return;
-  }
+  // The runtime backends and the fault scheduler own their internal
+  // scheduling. Everything else must account for every handle
+  // Runtime::schedule()/after() returns.
+  if (under_dir(ctx.file.path, "runtime")) return;
   const std::vector<Token>& t = ctx.tokens;
   static const std::set<std::string> kSchedulers = {"schedule",
                                                     "schedule_after", "after"};

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/swarm.hpp"
-#include "sim/faults.hpp"
+#include "runtime/faults.hpp"
 #include "report.hpp"
 
 namespace {
@@ -59,12 +59,12 @@ struct ProtocolReport {
 
 struct Scenario {
   const char* name;
-  void (*shape)(predis::sim::FaultPlanConfig&);
+  void (*shape)(predis::runtime::FaultPlanConfig&);
 };
 
 /// Disable every default-on baseline kind so each scenario exercises
 /// exactly one recovery path.
-void quiesce(predis::sim::FaultPlanConfig& plan) {
+void quiesce(predis::runtime::FaultPlanConfig& plan) {
   plan.crashes = false;
   plan.pair_partitions = false;
   plan.zone_partitions = false;
@@ -75,17 +75,17 @@ void quiesce(predis::sim::FaultPlanConfig& plan) {
 
 constexpr Scenario kScenarios[] = {
     {"crash_restart",
-     [](predis::sim::FaultPlanConfig& plan) {
+     [](predis::runtime::FaultPlanConfig& plan) {
        quiesce(plan);
        plan.crashes = true;
      }},
     {"churn_storm",
-     [](predis::sim::FaultPlanConfig& plan) {
+     [](predis::runtime::FaultPlanConfig& plan) {
        quiesce(plan);
        plan.churn_storms = true;
      }},
     {"partition_heal",
-     [](predis::sim::FaultPlanConfig& plan) {
+     [](predis::runtime::FaultPlanConfig& plan) {
        quiesce(plan);
        plan.partitions = true;
      }},

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/block_tracer.hpp"
-#include "common/metrics_registry.hpp"
 #include "core/experiment.hpp"
 #include "multizone/experiments.hpp"
 #include "report.hpp"
@@ -29,7 +28,6 @@
 namespace {
 
 using predis::BlockTracer;
-using predis::MetricsRegistry;
 using predis::TraceAnomaly;
 using predis::TraceStageStats;
 using predis::tools::JsonWriter;
@@ -43,7 +41,9 @@ struct Scenario {
   /// Attributed worst samples of the scenario's tail stage (printed so
   /// a straggler is a (block, node, pulls) fact, not just a number).
   std::vector<std::string> outliers;
-  std::string metrics_json;       ///< Folded MetricsRegistry export.
+  std::size_t trace_entries = 0;  ///< Distinct traced bundles/blocks.
+  std::size_t bans = 0;           ///< Ban events over all observers.
+  std::size_t pulls = 0;          ///< Repair pulls over all nodes.
   double headline = 0.0;          ///< tps or coverage, see unit.
   const char* headline_unit = "";
   /// Interval names that must appear with count > 0 for the scenario's
@@ -107,6 +107,9 @@ void scenario_json(JsonWriter& j, const Scenario& s, bool last) {
   j.kv("headline_unit", s.headline_unit);
   j.kv("anomalies", s.anomalies.size());
   j.kv("clean", s.anomalies.empty());
+  j.kv("trace_entries", s.trace_entries);
+  j.kv("bans", s.bans);
+  j.kv("pulls", s.pulls);
   j.raw("\"stages\": [\n");
   for (std::size_t i = 0; i < s.stages.size(); ++i) {
     const TraceStageStats& st = s.stages[i];
@@ -129,15 +132,13 @@ void scenario_json(JsonWriter& j, const Scenario& s, bool last) {
     j.raw("]");
     j.raw(i + 1 < s.stages.size() ? "},\n" : "}\n");
   }
-  j.raw("    ],\n    \"metrics\": ");
-  j.raw(s.metrics_json);
-  j.raw(last ? "}\n" : "},\n");
+  j.raw(last ? "    ]}\n" : "    ]},\n");
 }
 
-std::string fold_metrics(const BlockTracer& tracer) {
-  MetricsRegistry registry;
-  tracer.fold_into(registry);
-  return registry.to_json();
+void count_trace(Scenario& s, const BlockTracer& tracer) {
+  s.trace_entries = tracer.entry_count();
+  s.bans = tracer.total_bans();
+  s.pulls = tracer.total_pulls();
 }
 
 // --- Live scenarios ----------------------------------------------------
@@ -163,7 +164,7 @@ Scenario run_multizone(bool smoke) {
   s.stages = r.stage_latency;
   s.anomalies = tracer.anomalies(cfg.duration);
   s.outliers = outlier_lines(tracer, "distribution", 5);
-  s.metrics_json = fold_metrics(tracer);
+  count_trace(s, tracer);
   s.headline = r.throughput_tps;
   s.headline_unit = "tx/s";
   s.required_stages = {"tx_wait", "bundle_quorum", "production",
@@ -189,7 +190,7 @@ Scenario run_baseline(predis::core::Protocol protocol, bool smoke) {
   s.description = std::string("baseline ") + s.name + " cluster (WAN)";
   s.stages = r.stage_latency;
   s.anomalies = tracer.anomalies(cfg.duration);
-  s.metrics_json = fold_metrics(tracer);
+  count_trace(s, tracer);
   s.headline = r.throughput_tps;
   s.headline_unit = "tx/s";
   s.required_stages = {"production"};
@@ -219,7 +220,7 @@ Scenario run_gossip(bool smoke) {
   // Propagation runs until delivery settles; judge stalls well past
   // the last possible commit so a truly unreconstructed block flags.
   s.anomalies = tracer.anomalies(cfg.setup_time + predis::seconds(120));
-  s.metrics_json = fold_metrics(tracer);
+  count_trace(s, tracer);
   s.headline = r.full_coverage_fraction * 100.0;
   s.headline_unit = "% coverage";
   s.required_stages = {"distribution"};
@@ -324,7 +325,7 @@ int main(int argc, char** argv) {
 
   JsonWriter j;
   j.raw("{\n  ");
-  j.kv("schema", "predis-latency/1");
+  j.kv("schema", "predis-latency/2");
   j.kv("tool", "trace_report");
   j.kv("smoke", smoke);
   j.raw("\"selftest\": {");
