@@ -42,7 +42,7 @@ HotStuffCore::HotStuffCore(NodeContext ctx, HotStuffApp& app)
       // set_recovery_seed().
       rng_(0x243f6a8885a308d3ULL ^
            (static_cast<std::uint64_t>(ctx_.self()) + 1)),
-      sync_peer_(ctx_.n(), ctx_.index()) {
+      catch_up_(ctx_, rng_, {}, kCatchUpAttempts) {
   // Genesis block at round 0, certified by a built-in QC.
   auto genesis = make_block(0, kZeroHash, QuorumCert{},
                             std::make_shared<EmptyPayload>());
@@ -371,7 +371,7 @@ void HotStuffCore::on_restart() {
   // The node was down or cut off: it may have missed arbitrarily many
   // rounds. Probe every peer once — the first useful answer fixes the
   // preferred sync peer — instead of resuming blind into a timeout.
-  finish_catch_up();
+  catch_up_.stop();
   begin_catch_up(ctx_.n());
 }
 
@@ -381,53 +381,35 @@ void HotStuffCore::note_lag(Round round, std::size_t from) {
 }
 
 void HotStuffCore::begin_catch_up(std::size_t prefer) {
-  if (prefer < ctx_.n() && prefer != ctx_.index()) sync_peer_.prefer(prefer);
-  if (catching_up_) return;
-  catching_up_ = true;
-  catch_up_attempt_ = 0;
-  send_catch_up_request(prefer >= ctx_.n());
-  arm_catch_up_timer();
+  catch_up_.prefer(prefer);
+  if (!catch_up_.begin()) return;
+  request_catch_up(prefer >= ctx_.n());
 }
 
-void HotStuffCore::send_catch_up_request(bool broadcast) {
+void HotStuffCore::request_catch_up(bool broadcast) {
   auto msg = std::make_shared<HsCatchUpRequestMsg>();
   msg->have_round = committed_round_;
   if (broadcast) {
     ctx_.broadcast(msg);
   } else {
-    ctx_.send_to(sync_peer_.peer(), std::move(msg));
+    ctx_.send_to(catch_up_.peer(), std::move(msg));
   }
-}
-
-void HotStuffCore::arm_catch_up_timer() {
-  catch_up_timer_.cancel();
-  catch_up_timer_ = ctx_.after(backoff_.delay(catch_up_attempt_, rng_),
-                               [this] { catch_up_tick(); });
+  catch_up_.arm([this] { catch_up_tick(); });
 }
 
 void HotStuffCore::catch_up_tick() {
-  if (paused_ || !catching_up_) return;
-  if (cur_round_ >= lag_round_ && catch_up_attempt_ > 0) {
-    finish_catch_up();
+  if (paused_ || !catch_up_.active()) return;
+  if (cur_round_ >= lag_round_ && catch_up_.attempt() > 0) {
+    catch_up_.stop();
     return;
   }
-  if (catch_up_attempt_ >= kMaxCatchUpAttempts) {
+  if (!catch_up_.retry()) {
     // Nobody can serve this gap: stale or forged lag evidence. Stand
     // down; fresh evidence re-arms.
     lag_round_ = cur_round_;
-    finish_catch_up();
     return;
   }
-  sync_peer_.on_timeout();  // rotates after repeated silence
-  ++catch_up_attempt_;
-  send_catch_up_request(false);
-  arm_catch_up_timer();
-}
-
-void HotStuffCore::finish_catch_up() {
-  catching_up_ = false;
-  catch_up_attempt_ = 0;
-  catch_up_timer_.cancel();
+  request_catch_up(false);
 }
 
 void HotStuffCore::on_catch_up_request(std::size_t from,
@@ -495,15 +477,12 @@ void HotStuffCore::on_block_batch(std::size_t from,
   if (!progressed) return;
   ++catch_up_batches_;
   try_flush_orphans();
-  sync_peer_.prefer(from);
-  sync_peer_.on_progress();
-  catch_up_attempt_ = 0;
-  if (catching_up_) {
+  catch_up_.progress(from);
+  if (catch_up_.active()) {
     if (cur_round_ >= lag_round_) {
-      finish_catch_up();
+      catch_up_.stop();
     } else {
-      send_catch_up_request(false);
-      arm_catch_up_timer();
+      request_catch_up(false);
     }
   }
   prune_blocks();

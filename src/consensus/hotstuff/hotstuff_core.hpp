@@ -40,10 +40,6 @@ inline constexpr Round kBlockRetention = 128;
 /// certified span (snapshot-like) and streaming forward from there.
 inline constexpr Round kMaxBlockSpan = 64;
 
-/// Retry budget for one catch-up episode with no progress (lag
-/// evidence can be forged); any real progress resets it.
-inline constexpr std::size_t kMaxCatchUpAttempts = 12;
-
 struct QuorumCert {
   Round round = 0;               ///< Round of the certified block.
   Hash32 block_hash = kZeroHash;
@@ -174,7 +170,7 @@ class HotStuffCore {
   /// Catch-up batches this replica adopted blocks from.
   std::uint64_t catch_up_batches() const { return catch_up_batches_; }
   /// Peer rotations forced by unresponsive catch-up servers.
-  std::size_t sync_stalls() const { return sync_peer_.stalls(); }
+  std::size_t sync_stalls() const { return catch_up_.stalls(); }
   /// Block-store bytes/items reclaimed below the retention window.
   const core::GcStats& gc_stats() const { return gc_; }
 
@@ -221,9 +217,7 @@ class HotStuffCore {
   void note_lag(Round round, std::size_t from);
   void begin_catch_up(std::size_t prefer);
   void catch_up_tick();
-  void send_catch_up_request(bool broadcast);
-  void arm_catch_up_timer();
-  void finish_catch_up();
+  void request_catch_up(bool broadcast);
   void on_catch_up_request(std::size_t from, const HsCatchUpRequestMsg& msg);
   void on_block_batch(std::size_t from, const HsBlockBatchMsg& msg);
   void adopt_committed(const BlockPtr& block, std::size_t commit_proof);
@@ -265,12 +259,8 @@ class HotStuffCore {
   std::uint64_t timeouts_ = 0;
 
   // --- Catch-up / recovery ---------------------------------------------
-  core::BackoffPolicy backoff_;
   Rng rng_;
-  core::StallDetector sync_peer_;
-  runtime::TimerHandle catch_up_timer_;
-  bool catching_up_ = false;
-  std::size_t catch_up_attempt_ = 0;
+  RetryLoop catch_up_;
   /// Highest round peers credibly reached (from orphaned proposals).
   Round lag_round_ = 0;
   std::uint64_t catch_up_batches_ = 0;

@@ -16,12 +16,12 @@ SharedMempoolNode::SharedMempoolNode(NodeContext ctx,
       replies_(ctx_),
       core_(ctx_, *this),
       rng_(config.seed ^ (0x51f15eedULL * (ctx_.index() + 1))),
-      fetch_peer_(ctx_.n(), ctx_.index()) {
-  // Fetch pacing starts near the base RTT and doubles toward the old
-  // fixed interval's neighborhood; jitter spreads simultaneous
-  // retriers (the post-heal pull storm) across the window.
-  fetch_backoff_.base = milliseconds(25);
-  fetch_backoff_.cap = std::max<SimTime>(cfg_.fetch_retry, milliseconds(400));
+      // Fetch pacing starts near the base RTT and doubles toward the old
+      // fixed interval's neighborhood; jitter spreads simultaneous
+      // retriers (the post-heal pull storm) across the window.
+      fetch_(ctx_, rng_,
+             {milliseconds(25),
+              std::max<SimTime>(config.fetch_retry, milliseconds(400))}) {
   admission_.set_metrics(&ledger_.metrics());
 }
 
@@ -37,12 +37,11 @@ void SharedMempoolNode::on_restart() {
   // broadcast (or its acks) may have been lost while down, and kick the
   // fetch loop for any bodies still outstanding.
   reoffer_uncertified(own_index_);
-  // A pre-outage retry timer still armed at the old backoff cadence
-  // would keep scheduled() true and block the fast first retry the
-  // reset of fetch_attempt_ is meant to buy; drop it.
-  fetch_timer_.cancel();
-  fetch_attempt_ = 0;
-  if (!fetching_.empty() && !fetch_timer_.scheduled()) retry_fetches();
+  // A pre-outage retry still armed at the old backoff cadence would
+  // delay the fast first retry the reset is meant to buy; drop it and
+  // retry at once.
+  fetch_.stop();
+  if (!fetching_.empty()) retry_fetches();
 }
 
 void SharedMempoolNode::schedule_packing() {
@@ -207,10 +206,7 @@ bool SharedMempoolNode::handle_mempool(NodeId from, const runtime::MsgPtr& msg) 
     }
     if (progressed) {
       // The responder is serving us: keep asking it, reset the backoff.
-      const std::size_t idx = ctx_.index_of(from);
-      if (idx < ctx_.n()) fetch_peer_.prefer(idx);
-      fetch_peer_.on_progress();
-      fetch_attempt_ = 0;
+      fetch_.progress(ctx_.index_of(from));
     }
     core_.revalidate();
     return true;
@@ -288,10 +284,7 @@ Validity SharedMempoolNode::validate(
       fetch->refs = std::move(refs);
       if (producer < ctx_.n()) ctx_.send_to(producer, std::move(fetch));
     }
-    if (!fetch_timer_.scheduled()) {
-      fetch_timer_ = ctx_.after(fetch_backoff_.delay(fetch_attempt_, rng_),
-                                [this] { retry_fetches(); });
-    }
+    if (!fetch_.armed()) fetch_.arm([this] { retry_fetches(); });
   }
   return pending ? Validity::kPending : Validity::kValid;
 }
@@ -307,18 +300,16 @@ void SharedMempoolNode::retry_fetches() {
   }
   fetching_.clear();
   if (still_missing.empty()) {
-    fetch_attempt_ = 0;
+    fetch_.stop();
     return;
   }
   for (const auto& ref : still_missing) fetching_.emplace(ref.key(), ref);
 
-  fetch_peer_.on_timeout();
-  ++fetch_attempt_;
+  fetch_.retry();
   auto fetch = std::make_shared<MbFetchMsg>();
   fetch->refs = std::move(still_missing);
-  ctx_.send_to(fetch_peer_.peer(), std::move(fetch));
-  fetch_timer_ = ctx_.after(fetch_backoff_.delay(fetch_attempt_, rng_),
-                            [this] { retry_fetches(); });
+  ctx_.send_to(fetch_.peer(), std::move(fetch));
+  fetch_.arm([this] { retry_fetches(); });
 }
 
 void SharedMempoolNode::on_commit(hotstuff::Round round,

@@ -1,11 +1,15 @@
-// Unit tests for the shared crash-recovery primitives (core/recovery.hpp)
-// and the CommitLedger payload dedupe that keeps restart re-proposals
-// from double-counting committed transactions.
+// Unit tests for the shared crash-recovery primitives (core/recovery.hpp),
+// the one catch-up/fetch retry loop built on them, and the CommitLedger
+// payload dedupe that keeps restart re-proposals from double-counting
+// committed transactions.
 #include "core/recovery.hpp"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "consensus/common.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace predis::core {
 namespace {
@@ -70,6 +74,95 @@ TEST(StallDetector, PreferIgnoresSelfAndOutOfRange) {
   det.prefer(9);   // out of range: ignored
   EXPECT_NE(det.peer(), 2u);
   EXPECT_LT(det.peer(), 4u);
+}
+
+// Node 0 of a four-node group on a bare SimRuntime owns the loop.
+struct RetryLoopRig {
+  runtime::SimRuntime rt{runtime::LatencyMatrix::uniform(1, 0)};
+  consensus::NodeContext ctx{rt, 0, consensus::ConsensusConfig{{0, 1, 2, 3}}};
+  Rng rng{7};
+};
+
+TEST(RetryLoop, BackoffScheduleDrawsFromTheOwnersRng) {
+  RetryLoopRig rig;
+  const BackoffPolicy policy;
+  consensus::RetryLoop loop(rig.ctx, rig.rng, policy);
+  std::vector<SimTime> fired;
+  std::function<void()> on_retry = [&] {
+    fired.push_back(rig.rt.now());
+    loop.retry();
+    if (fired.size() < 7) loop.arm(on_retry);
+  };
+  loop.arm(on_retry);
+  rig.rt.run_until(seconds(10));
+  // Replaying the owner's stream gives the same cadence: delay(k) after
+  // the k-th retry, doubling to the cap, and no hidden draws.
+  Rng replay(7);
+  SimTime at = 0;
+  ASSERT_EQ(fired.size(), 7u);
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    at += policy.delay(k, replay);
+    EXPECT_EQ(fired[k], at) << "retry " << k;
+  }
+  EXPECT_EQ(rig.rng.next(), replay.next());
+}
+
+TEST(RetryLoop, RotatesAfterSilenceAndResetsOnProgress) {
+  RetryLoopRig rig;
+  consensus::RetryLoop loop(rig.ctx, rig.rng);
+  loop.prefer(2);
+  loop.retry();
+  EXPECT_EQ(loop.peer(), 2u);  // one silent attempt: stay
+  loop.retry();
+  EXPECT_EQ(loop.peer(), 3u);  // stall_after = 2: rotate
+  loop.progress();
+  EXPECT_EQ(loop.attempt(), 0u);
+  loop.retry();
+  EXPECT_EQ(loop.peer(), 3u);  // the silence streak restarted
+  loop.retry();
+  EXPECT_EQ(loop.peer(), 1u);  // wraps past self (0)
+  loop.progress(2);            // answered by 2: keep asking it
+  EXPECT_EQ(loop.peer(), 2u);
+  EXPECT_EQ(loop.stalls(), 2u);
+}
+
+TEST(RetryLoop, StandsDownAtTheCatchUpCapAndReArmsOnFreshEvidence) {
+  RetryLoopRig rig;
+  consensus::RetryLoop loop(rig.ctx, rig.rng, {},
+                            consensus::kCatchUpAttempts);
+  ASSERT_TRUE(loop.begin());
+  EXPECT_FALSE(loop.begin());  // one episode at a time
+  loop.arm([] {});
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_TRUE(loop.retry()) << i;
+  EXPECT_FALSE(loop.retry());  // the 13th: stand down
+  EXPECT_FALSE(loop.active());
+  EXPECT_FALSE(loop.armed());
+  EXPECT_TRUE(loop.begin());  // fresh evidence opens a new episode
+  EXPECT_EQ(loop.attempt(), 0u);
+}
+
+TEST(RetryLoop, UncappedLoopNeverStandsDown) {
+  RetryLoopRig rig;
+  consensus::RetryLoop loop(rig.ctx, rig.rng);
+  ASSERT_TRUE(loop.begin());
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(loop.retry()) << i;
+  EXPECT_TRUE(loop.active());
+}
+
+TEST(RetryLoop, StopCancelsASlowRetrySoTheNextIsFast) {
+  RetryLoopRig rig;
+  consensus::RetryLoop loop(rig.ctx, rig.rng);
+  for (int i = 0; i < 6; ++i) loop.retry();  // backoff at its 400 ms cap
+  bool slow = false;
+  bool fast = false;
+  loop.arm([&] { slow = true; });
+  loop.stop();  // restart: the pre-outage cadence is stale
+  EXPECT_FALSE(loop.armed());
+  loop.arm([&] { fast = true; });
+  rig.rt.run_until(milliseconds(25));
+  EXPECT_TRUE(fast);
+  rig.rt.run_until(seconds(1));
+  EXPECT_FALSE(slow);
 }
 
 TEST(CheckpointRecord, DigestCoversAllFields) {
