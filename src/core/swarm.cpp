@@ -222,7 +222,10 @@ SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
       result.sync_stalls += node.hotstuff->sync_stalls();
       gc.merge(node.hotstuff->gc_stats());
     }
-    if (node.pool != nullptr) gc.merge(node.pool->gc_stats());
+    if (node.pool != nullptr) {
+      result.sync_stalls += node.pool->fetch_stalls();
+      gc.merge(node.pool->gc_stats());
+    }
     if (node.engine != nullptr) {
       result.sync_stalls += node.engine->fetch_stalls();
       gc.merge(node.engine->gc_stats());

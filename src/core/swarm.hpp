@@ -90,8 +90,8 @@ struct SwarmCaseResult {
   std::uint64_t catch_up_batches = 0;
   /// Certified state snapshots adopted (PBFT-family state transfer).
   std::size_t state_transfers = 0;
-  /// Stall-detector escalations: catch-up/fetch loops that rotated to a
-  /// different peer after repeated timeouts.
+  /// Peer rotations of every retry loop (consensus catch-up, bundle and
+  /// microblock-body fetch) after repeated unanswered retries.
   std::size_t sync_stalls = 0;
   /// Log bytes/items garbage-collected below stable checkpoints
   /// (consensus slot logs, block stores, mempool bundle bodies).
