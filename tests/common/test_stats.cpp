@@ -7,23 +7,6 @@
 namespace predis {
 namespace {
 
-TEST(Summary, TracksMinMaxMeanCount) {
-  Summary s;
-  s.add(2.0);
-  s.add(4.0);
-  s.add(9.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Percentiles, MedianOfOddSet) {
   Percentiles p;
   for (double v : {5.0, 1.0, 3.0}) p.add(v);
