@@ -1,7 +1,6 @@
 #include "common/block_tracer.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/codec.hpp"
 
@@ -183,15 +182,15 @@ std::vector<TraceStageStats> BlockTracer::stage_breakdown() const {
     row.name = name;
     row.count = samples.count();
     row.mean_ms = samples.mean();
-    row.p50_ms = samples.percentile(50);
-    row.p95_ms = samples.percentile(95);
-    row.p99_ms = samples.percentile(99);
-    row.p999_ms = samples.percentile(99.9);
     std::vector<double> sorted = samples.samples();
-    std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-    row.max_ms = sorted.empty() ? 0.0 : sorted.front();
+    std::sort(sorted.begin(), sorted.end());
+    row.p50_ms = Percentiles::of_sorted(sorted, 50);
+    row.p95_ms = Percentiles::of_sorted(sorted, 95);
+    row.p99_ms = Percentiles::of_sorted(sorted, 99);
+    row.p999_ms = Percentiles::of_sorted(sorted, 99.9);
+    row.max_ms = sorted.empty() ? 0.0 : sorted.back();
     const std::size_t k = std::min<std::size_t>(sorted.size(), 5);
-    row.top_ms.assign(sorted.begin(), sorted.begin() + k);
+    row.top_ms.assign(sorted.rbegin(), sorted.rbegin() + k);
     out.push_back(std::move(row));
   }
   return out;
