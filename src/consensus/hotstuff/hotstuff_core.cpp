@@ -398,7 +398,8 @@ void HotStuffCore::request_catch_up(bool broadcast) {
 }
 
 void HotStuffCore::catch_up_tick() {
-  if (paused_ || !catch_up_.active()) return;
+  if (paused_) catch_up_.stop();
+  if (!catch_up_.active()) return;
   if (cur_round_ >= lag_round_ && catch_up_.attempt() > 0) {
     catch_up_.stop();
     return;

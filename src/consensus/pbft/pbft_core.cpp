@@ -370,7 +370,8 @@ void PbftCore::request_catch_up(bool broadcast) {
 }
 
 void PbftCore::catch_up_tick() {
-  if (paused_ || !catch_up_.active()) return;
+  if (paused_) catch_up_.stop();
+  if (!catch_up_.active()) return;
   if (last_exec_ >= lag_target_ && catch_up_.attempt() > 0) {
     // Caught up (or the restart probe drew no evidence of lag).
     catch_up_.stop();

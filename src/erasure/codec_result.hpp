@@ -1,17 +1,13 @@
-// Non-throwing result type for the erasure codec's in-loop callers
-// (swarm harness invariant checks, relayer decode paths): a minimal
-// expected<T, CodecFailure> — std::expected is C++23 and this codebase
-// is C++20. The throwing decode()/deserialize() entry points are thin
-// wrappers that translate a CodecFailure back into the exception the
-// original API contract promised (see throw_failure below).
+// Result type of the erasure codec's decode path (ReedSolomon and
+// StripeCodec try_decode, used by the swarm harness invariant checks
+// and the relayer decode paths): a minimal expected<T, CodecFailure> —
+// std::expected is C++23 and this codebase is C++20. Decoding never
+// throws; a failure names its CodecErrorCode.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
-
-#include "common/codec.hpp"
 
 namespace predis::erasure {
 
@@ -43,22 +39,6 @@ struct CodecFailure {
   std::string message;
 };
 
-/// Re-raise a failure as the exception the throwing API contract uses:
-/// argument-shaped problems (counts, sizes, indices) are
-/// std::invalid_argument, algebra failures std::domain_error, and
-/// corrupted byte content CodecError.
-[[noreturn]] inline void throw_failure(const CodecFailure& failure) {
-  switch (failure.code) {
-    case CodecErrorCode::kCorruptPayload:
-    case CodecErrorCode::kMalformedBundle:
-      throw CodecError(failure.message);
-    case CodecErrorCode::kSingularMatrix:
-      throw std::domain_error(failure.message);
-    default:
-      throw std::invalid_argument(failure.message);
-  }
-}
-
 /// Holds either a T or the CodecFailure explaining why there is none.
 template <typename T>
 class Expected {
@@ -76,12 +56,6 @@ class Expected {
   T&& value() && { return std::get<0>(std::move(state_)); }
 
   const CodecFailure& error() const { return std::get<1>(state_); }
-
-  /// value() or throw the failure via throw_failure (wrapper helper).
-  T&& value_or_throw() && {
-    if (!ok()) throw_failure(error());
-    return std::get<0>(std::move(state_));
-  }
 
  private:
   std::variant<T, CodecFailure> state_;

@@ -195,62 +195,4 @@ Expected<Bytes> ReedSolomon::try_decode(
   return try_decode(as_views(shards));
 }
 
-Bytes ReedSolomon::decode(
-    const std::vector<std::optional<Bytes>>& shards) const {
-  return try_decode(shards).value_or_throw();
-}
-
-std::vector<Bytes> ReedSolomon::reconstruct_all(
-    const std::vector<std::optional<Bytes>>& shards) const {
-  const std::vector<std::optional<BytesView>> views = as_views(shards);
-  std::vector<std::size_t> present;
-  std::size_t size = 0;
-  if (auto failure = select_present(views, present, size)) {
-    throw_failure(*failure);
-  }
-
-  // Recover the k data shards first (identity copy when systematic).
-  std::vector<Bytes> out(n_);
-  bool systematic = true;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (present[i] != i) {
-      systematic = false;
-      break;
-    }
-  }
-  if (systematic) {
-    for (std::size_t i = 0; i < k_; ++i) out[i] = *shards[i];
-  } else {
-    Matrix decode_matrix(1, 1);
-    try {
-      decode_matrix = coding_.select_rows(present).inverted();
-    } catch (const std::domain_error& err) {
-      throw_failure(
-          CodecFailure{CodecErrorCode::kSingularMatrix, err.what()});
-    }
-    for (std::size_t r = 0; r < k_; ++r) {
-      out[r] = Bytes(size, 0);
-      const GF* row = decode_matrix.row(r);
-      for (std::size_t c = 0; c < k_; ++c) {
-        GF256::mul_row_add(out[r].data(), views[present[c]]->data(), row[c],
-                           size);
-      }
-    }
-  }
-
-  // Re-derive missing parity; keep parity shards that were present.
-  for (std::size_t r = k_; r < n_; ++r) {
-    if (r < shards.size() && shards[r].has_value()) {
-      out[r] = *shards[r];
-      continue;
-    }
-    out[r] = Bytes(size, 0);
-    const GF* row = coding_.row(r);
-    for (std::size_t c = 0; c < k_; ++c) {
-      GF256::mul_row_add(out[r].data(), out[c].data(), row[c], size);
-    }
-  }
-  return out;
-}
-
 }  // namespace predis::erasure

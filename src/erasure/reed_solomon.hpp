@@ -15,8 +15,8 @@
 // The byte path streams coding-matrix rows over contiguous shard
 // buffers with GF256::mul_row_add — one kernel call per (row, shard)
 // pair instead of one table lookup per byte. encode_into/try_decode
-// form the allocation-free, non-throwing core; encode/decode are
-// convenience wrappers that keep the original API contract.
+// form the allocation-free, non-throwing core; encode is a convenience
+// wrapper that allocates the shards.
 #pragma once
 
 #include <optional>
@@ -59,21 +59,12 @@ class ReedSolomon {
 
   /// Reconstruct the payload from any subset of >= k shards (missing
   /// shards are nullopt). All present shards must have equal size.
-  /// Throws std::invalid_argument if fewer than k shards are present or
-  /// sizes are inconsistent; throws CodecError if the recovered prefix
-  /// is malformed (e.g. corrupted shards).
-  Bytes decode(const std::vector<std::optional<Bytes>>& shards) const;
-
-  /// Non-throwing decode for in-loop callers: same semantics as
-  /// decode() but failures come back as a CodecFailure value.
+  /// Fewer than k shards, inconsistent sizes, a singular decode matrix
+  /// or a malformed recovered prefix (e.g. corrupted shards) come back
+  /// as a CodecFailure value.
   [[nodiscard]] Expected<Bytes> try_decode(
       std::span<const std::optional<BytesView>> shards) const;
   [[nodiscard]] Expected<Bytes> try_decode(
-      const std::vector<std::optional<Bytes>>& shards) const;
-
-  /// Recompute all n shards from any >= k present shards (used by
-  /// relayers that must forward stripes they did not receive directly).
-  std::vector<Bytes> reconstruct_all(
       const std::vector<std::optional<Bytes>>& shards) const;
 
   const Matrix& coding_matrix() const { return coding_; }

@@ -100,9 +100,4 @@ Expected<Bundle> StripeCodec::try_decode(
   }
 }
 
-Bundle StripeCodec::decode(
-    const std::vector<std::optional<Stripe>>& stripes) const {
-  return try_decode(stripes).value_or_throw();
-}
-
 }  // namespace predis::erasure

@@ -69,14 +69,9 @@ class StripeCodec {
   static bool verify(const Stripe& stripe, const Hash32& stripe_root);
 
   /// Reconstruct the bundle from >= k verified stripes (missing =
-  /// nullopt). Throws std::invalid_argument on insufficient stripes and
-  /// CodecError on corrupted payload bytes.
-  Bundle decode(const std::vector<std::optional<Stripe>>& stripes) const;
-
-  /// Non-throwing decode for in-loop callers (swarm harness, relayers):
-  /// same semantics as decode() but failures — bad indices, too few
-  /// stripes, corrupt payload, malformed bundle bytes — come back as a
-  /// CodecFailure value instead of an exception.
+  /// nullopt). Failures — bad indices, too few stripes, corrupt
+  /// payload, malformed bundle bytes — come back as a CodecFailure
+  /// value instead of an exception.
   [[nodiscard]] Expected<Bundle> try_decode(
       const std::vector<std::optional<Stripe>>& stripes) const;
 

@@ -55,18 +55,23 @@ TEST(AdmissionBudget, ShedsAtTheCapByReason) {
 
 TEST(AdmissionBudget, UplinkBacklogIsCheckedFirst) {
   TestCluster cluster(4, 1);
+  const auto& ids = cluster.consensus_ids();
   const NodeContext ctx = cluster.context(0);
   // 5000 x 536 B queued on a 100 Mbps uplink is ~214 ms of backlog.
   auto big = std::make_shared<ClientRequestMsg>();
   big->txs = client_txs(5000, 1);
-  cluster.net.send(cluster.ids[0], cluster.ids[1], big);
-  ASSERT_GT(cluster.net.uplink_backlog(cluster.ids[0]), milliseconds(150));
+  cluster.net().send(ids[0], ids[1], big);
+  ASSERT_GT(cluster.net().uplink_backlog(ids[0]), milliseconds(150));
 
   AdmissionBudget budget(milliseconds(150), 100);
   budget.set_metrics(&cluster.metrics);
   EXPECT_FALSE(budget.admit(ctx, 100, 7));  // at the cap too
   EXPECT_EQ(cluster.metrics.shed_txs(ShedReason::kUplinkBacklog), 7u);
   EXPECT_EQ(cluster.metrics.shed_txs(ShedReason::kUnconfirmedCap), 0u);
+}
+
+std::uint64_t shed_at_cap(const TestCluster& cluster) {
+  return cluster.metrics.shed_txs(ShedReason::kUnconfirmedCap);
 }
 
 namespace pd = ::predis::consensus::predis;
@@ -77,8 +82,8 @@ namespace pd = ::predis::consensus::predis;
 struct SoloEngine {
   explicit SoloEngine(pd::FaultMode fault = pd::FaultMode::kNone)
       : ctx(cluster.context(0)),
-        engine(ctx, config(fault), producer_keys(cluster.ids),
-               KeyPair::from_seed(cluster.ids[0])) {
+        engine(ctx, config(fault), cluster.keys,
+               KeyPair::from_seed(cluster.consensus_ids()[0])) {
     engine.set_metrics(&cluster.metrics);
   }
 
@@ -94,7 +99,7 @@ struct SoloEngine {
   void submit(std::size_t n) {
     engine.enqueue(client_txs(n, next_seq));
     next_seq += n;
-    cluster.run_until(cluster.net.now() + milliseconds(10));
+    cluster.net().run_until(cluster.net().now() + milliseconds(10));
   }
 
   /// Commit a block cutting the own chain at its tip (f = n - 1 cuts at
@@ -104,11 +109,7 @@ struct SoloEngine {
     engine.commit_block(
         slot, std::make_shared<PredisPayload>(build_predis_block(
                   engine.mempool(), 0, 3, slot, 0, kZeroHash, prev,
-                  KeyPair::from_seed(cluster.ids[0]))));
-  }
-
-  std::uint64_t shed_at_cap() const {
-    return cluster.metrics.shed_txs(ShedReason::kUnconfirmedCap);
+                  KeyPair::from_seed(cluster.consensus_ids()[0]))));
   }
 
   TestCluster cluster{4, 1};
@@ -128,7 +129,7 @@ TEST(PredisAdmission, ShedsAtTheCapAndAdmitsAgainAfterCommit) {
 
   // The ingress queue is empty, yet the node holds its cap unconfirmed.
   solo.submit(50);
-  EXPECT_EQ(solo.shed_at_cap(), 50u);
+  EXPECT_EQ(shed_at_cap(solo.cluster), 50u);
   EXPECT_EQ(solo.engine.mempool().chain(0).contiguous_height(), kCapBundles);
 
   solo.commit_own_tip(1);
@@ -136,7 +137,7 @@ TEST(PredisAdmission, ShedsAtTheCapAndAdmitsAgainAfterCommit) {
   EXPECT_EQ(solo.engine.unconfirmed_txs(), 0u);
 
   solo.submit(50);
-  EXPECT_EQ(solo.shed_at_cap(), 50u);
+  EXPECT_EQ(shed_at_cap(solo.cluster), 50u);
   EXPECT_EQ(solo.engine.unconfirmed_txs(), 50u);
 }
 
@@ -147,7 +148,7 @@ TEST(PredisAdmission, PausedFaultyProducerIsNotCapped) {
   for (std::size_t i = 0; i < kCapBundles + 10; ++i) solo.submit(50);
   EXPECT_EQ(solo.engine.mempool().chain(0).contiguous_height(),
             kCapBundles + 10);
-  EXPECT_EQ(solo.shed_at_cap(), 0u);
+  EXPECT_EQ(shed_at_cap(solo.cluster), 0u);
 }
 
 TEST(PredisAdmission, RejectedOwnBundleIsNotCounted) {
@@ -180,40 +181,36 @@ TEST(PredisAdmission, EquivocationCountsTheKeptBundle) {
   EXPECT_EQ(solo.engine.unconfirmed_txs(), 0u);
 }
 
-template <typename Node>
+/// P-PBFT group with 20-transaction bundles cut every 20 ms.
 struct PredisGroup : TestCluster {
   explicit PredisGroup(SimTime ban_duration = 0,
                        SimTime view_timeout = milliseconds(400))
-      : TestCluster(4, 1, milliseconds(10), view_timeout) {
-    const auto keys = producer_keys(ids);
+      : TestCluster(4, 1, view_timeout) {
     for (std::size_t i = 0; i < 4; ++i) {
       pd::PredisConfig pcfg;
       pcfg.bundle_size = 20;
       pcfg.bundle_interval = milliseconds(20);
       pcfg.ban_duration = ban_duration;
-      nodes.push_back(std::make_unique<Node>(
-          context(i), pcfg, keys, KeyPair::from_seed(ids[i]), ledger));
-      net.attach(ids[i], nodes.back().get());
+      testing::add_predis_pbft_node(*this, pcfg);
     }
   }
-
-  std::vector<std::unique_ptr<Node>> nodes;
 };
 
 TEST(PredisAdmission, BanThenRejoinDropsTheErasedSuffix) {
-  PredisGroup<pd::PredisPbftNode> group(/*ban_duration=*/seconds(1));
+  PredisGroup group(/*ban_duration=*/seconds(1));
+  const auto& ids = group.consensus_ids();
   // Node 3's client stops before its rejoin, so whatever node 3 counts
   // after the rejoin can only be bundles that survived it.
   for (std::size_t i = 0; i < 4; ++i) {
-    group.add_client({group.ids[i]}, 400, i == 3 ? seconds(1) : seconds(4),
+    group.add_client({ids[i]}, 400, i == 3 ? seconds(1) : seconds(4),
                      40 + i);
   }
-  group.net.start();
-  group.run_until(milliseconds(600));
+  group.net().start();
+  group.net().run_until(milliseconds(600));
 
   // Forged-but-valid evidence: two signed, different bundles of producer
   // 3 at height 1. Every node, node 3 included, bans it.
-  const KeyPair key = KeyPair::from_seed(group.ids[3]);
+  const KeyPair key = KeyPair::from_seed(ids[3]);
   auto conflict = std::make_shared<pd::ConflictMsg>();
   conflict->evidence.first =
       make_bundle(3, 1, kZeroHash, {0, 0, 0, 0}, client_txs(1, 1), key)
@@ -221,38 +218,37 @@ TEST(PredisAdmission, BanThenRejoinDropsTheErasedSuffix) {
   conflict->evidence.second =
       make_bundle(3, 1, kZeroHash, {0, 0, 0, 0}, client_txs(1, 2), key)
           .header;
-  for (NodeId id : group.ids) group.net.send(group.ids[3], id, conflict);
-  group.run_until(milliseconds(1500));
-  const pd::PredisEngine& banned = group.nodes[3]->engine();
+  for (NodeId id : ids) group.net().send(ids[3], id, conflict);
+  group.net().run_until(milliseconds(1500));
+  const pd::PredisEngine& banned = *group.nodes[3].engine;
   ASSERT_TRUE(banned.mempool().is_banned(3));
   // A banned chain is never cut: its pre-ban bundles stay unconfirmed.
   EXPECT_GT(banned.unconfirmed_txs(), 0u);
 
   // The rejoin grant (~1.6 s) erases the unconfirmed suffix and resets
   // the production head; the count follows it down.
-  group.run_until(milliseconds(2000));
+  group.net().run_until(milliseconds(2000));
   ASSERT_FALSE(banned.mempool().is_banned(3));
   EXPECT_EQ(banned.unconfirmed_txs(), 0u);
-  group.run_until(seconds(5));
+  group.net().run_until(seconds(5));
   EXPECT_TRUE(group.ledger.consistent());
 }
 
 TEST(PredisAdmission, CrashRestartWithStateTransferConfirmsEverything) {
-  PredisGroup<pd::PredisPbftNode> group;
-  for (auto& node : group.nodes) node->core().set_checkpoint_interval(8);
-  for (std::size_t i = 0; i < 4; ++i) {
-    group.add_client({group.ids[i]}, 300, seconds(8), 70 + i);
-  }
-  group.net.start();
-  group.run_until(seconds(1));
-  group.net.set_node_down(group.ids[3], true);
-  group.run_until(seconds(3));
-  group.net.set_node_down(group.ids[3], false);
-  group.run_until(seconds(9));
+  PredisGroup group;
+  const auto& ids = group.consensus_ids();
+  for (auto& node : group.nodes) node.pbft->set_checkpoint_interval(8);
+  group.add_node_clients(300, seconds(8), 70);
+  group.net().start();
+  group.net().run_until(seconds(1));
+  group.net().set_node_down(ids[3], true);
+  group.net().run_until(seconds(3));
+  group.net().set_node_down(ids[3], false);
+  group.net().run_until(seconds(9));
 
-  EXPECT_GE(group.nodes[3]->core().state_transfers(), 1u);
+  EXPECT_GE(group.nodes[3].pbft->state_transfers(), 1u);
   for (const auto& node : group.nodes) {
-    EXPECT_EQ(node->engine().unconfirmed_txs(), 0u);
+    EXPECT_EQ(node.engine->unconfirmed_txs(), 0u);
   }
   EXPECT_TRUE(group.ledger.consistent());
 }
@@ -262,20 +258,21 @@ TEST(PredisAdmission, IsolatedProducerAdmitsAgainAfterHeal) {
   // peer, until it holds the cap; once the cut heals (no restart hook)
   // its empty bundles' tips make the peers fetch the stranded suffix.
   // The default 2 s view timeout: at 400 ms the view changes outpace
-  // the fetch of that suffix (ROADMAP, item 9).
-  PredisGroup<pd::PredisPbftNode> group(0, seconds(2));
-  group.add_client({group.ids[0]}, 4000, seconds(8), 11);
-  group.net.start();
-  group.run_until(milliseconds(200));
-  group.net.set_drop_filter(isolate(group.ids[0], group.ids));
-  group.run_until(seconds(2));
-  const pd::PredisEngine& engine = group.nodes[0]->engine();
+  // the fetch of that suffix (ROADMAP, item 1).
+  PredisGroup group(0, seconds(2));
+  const auto& ids = group.consensus_ids();
+  group.add_client({ids[0]}, 4000, seconds(8), 11);
+  group.net().start();
+  group.net().run_until(milliseconds(200));
+  group.net().set_drop_filter(isolate(ids[0], ids));
+  group.net().run_until(seconds(2));
+  const pd::PredisEngine& engine = *group.nodes[0].engine;
   EXPECT_GE(engine.unconfirmed_txs() + engine.queue_depth(),
             kUnconfirmedTxCap);
   EXPECT_GT(group.metrics.shed_txs(ShedReason::kUnconfirmedCap), 0u);
 
-  group.net.set_drop_filter(nullptr);
-  group.run_until(seconds(10));
+  group.net().set_drop_filter(nullptr);
+  group.net().run_until(seconds(10));
   EXPECT_EQ(engine.unconfirmed_txs(), 0u);
   // Admitted again: far more than the stranded cap's worth committed.
   EXPECT_GT(group.metrics.committed_txs(), 2 * kUnconfirmedTxCap);
@@ -283,49 +280,36 @@ TEST(PredisAdmission, IsolatedProducerAdmitsAgainAfterHeal) {
 }
 
 /// Stratus-style group (f + 1 = 2 acks certify a microblock).
-struct StratusGroup : TestCluster {
-  StratusGroup() : TestCluster(4, 1) {
-    narwhal::SharedMempoolConfig ncfg;
-    ncfg.ack_quorum = 2;
-    for (std::size_t i = 0; i < 4; ++i) {
-      nodes.push_back(std::make_unique<narwhal::SharedMempoolNode>(
-          context(i), ncfg, ledger));
-      net.attach(ids[i], nodes.back().get());
-    }
-  }
-
-  std::uint64_t shed_at_cap() const {
-    return metrics.shed_txs(ShedReason::kUnconfirmedCap);
-  }
-
-  std::vector<std::unique_ptr<narwhal::SharedMempoolNode>> nodes;
-};
+core::ClusterConfig stratus() {
+  return testing::cluster_config(core::Protocol::kStratus);
+}
 
 TEST(SharedMempoolAdmission, StalledConsensusShedsThenRecovers) {
   // Node 1's ack certifies node 0's microblocks, but with nodes 2 and 3
   // down HotStuff cannot commit, so node 0's unconfirmed count climbs
   // to the cap and its clients are shed.
-  StratusGroup group;
-  group.add_client({group.ids[0]}, 3000, seconds(4), 11);
-  group.net.start();
-  group.run_until(milliseconds(100));
-  group.net.set_node_down(group.ids[2], true);
-  group.net.set_node_down(group.ids[3], true);
+  TestCluster group(stratus());
+  const auto& ids = group.consensus_ids();
+  group.add_client({ids[0]}, 3000, seconds(4), 11);
+  group.net().start();
+  group.net().run_until(milliseconds(100));
+  group.net().set_node_down(ids[2], true);
+  group.net().set_node_down(ids[3], true);
 
-  group.run_until(seconds(2));
+  group.net().run_until(seconds(2));
   EXPECT_LT(group.metrics.committed_txs(), 500u);
-  EXPECT_GT(group.shed_at_cap(), 0u);
+  EXPECT_GT(shed_at_cap(group), 0u);
   // At most one client batch (5 ms of load) past the cap.
-  EXPECT_GE(group.nodes[0]->unconfirmed_txs(), kUnconfirmedTxCap);
-  EXPECT_LE(group.nodes[0]->unconfirmed_txs(), kUnconfirmedTxCap + 15u);
+  EXPECT_GE(group.nodes[0].pool->unconfirmed_txs(), kUnconfirmedTxCap);
+  EXPECT_LE(group.nodes[0].pool->unconfirmed_txs(), kUnconfirmedTxCap + 15u);
 
-  group.net.set_node_down(group.ids[2], false);
-  group.net.set_node_down(group.ids[3], false);
-  group.run_until(seconds(7));
+  group.net().set_node_down(ids[2], false);
+  group.net().set_node_down(ids[3], false);
+  group.net().run_until(seconds(7));
   // More than one cap's worth committed: admission resumed once the
   // first cap's worth was confirmed.
   EXPECT_GT(group.metrics.committed_txs(), 5000u);
-  EXPECT_EQ(group.nodes[0]->unconfirmed_txs(), 0u);
+  EXPECT_EQ(group.nodes[0].pool->unconfirmed_txs(), 0u);
   EXPECT_TRUE(group.ledger.consistent());
 }
 
@@ -334,18 +318,19 @@ TEST(SharedMempoolAdmission, IsolatedProducerReoffersAfterHeal) {
   // it holds the cap. The heal fires no restart hook; at the cap the
   // producer re-offers its uncertified microblocks, so they certify and
   // commit and admission resumes.
-  StratusGroup group;
-  group.add_client({group.ids[0]}, 3000, seconds(8), 11);
-  group.net.start();
-  group.run_until(milliseconds(100));
-  group.net.set_drop_filter(isolate(group.ids[0], group.ids));
-  group.run_until(seconds(3));
-  EXPECT_GE(group.nodes[0]->unconfirmed_txs(), kUnconfirmedTxCap);
-  EXPECT_GT(group.shed_at_cap(), 0u);
+  TestCluster group(stratus());
+  const auto& ids = group.consensus_ids();
+  group.add_client({ids[0]}, 3000, seconds(8), 11);
+  group.net().start();
+  group.net().run_until(milliseconds(100));
+  group.net().set_drop_filter(isolate(ids[0], ids));
+  group.net().run_until(seconds(3));
+  EXPECT_GE(group.nodes[0].pool->unconfirmed_txs(), kUnconfirmedTxCap);
+  EXPECT_GT(shed_at_cap(group), 0u);
 
-  group.net.set_drop_filter(nullptr);
-  group.run_until(seconds(10));
-  EXPECT_EQ(group.nodes[0]->unconfirmed_txs(), 0u);
+  group.net().set_drop_filter(nullptr);
+  group.net().run_until(seconds(10));
+  EXPECT_EQ(group.nodes[0].pool->unconfirmed_txs(), 0u);
   EXPECT_GT(group.metrics.committed_txs(), 2 * kUnconfirmedTxCap);
   EXPECT_TRUE(group.ledger.consistent());
 }
@@ -355,21 +340,22 @@ TEST(SharedMempoolAdmission, LostAcksAreResentForReofferedMicroblocks) {
   // so nothing certifies and node 0 fills its cap. After the drop window
   // the peers already hold the bodies: only an ack for the duplicate
   // a re-offer delivers can certify them.
-  StratusGroup group;
-  group.add_client({group.ids[0]}, 3000, seconds(8), 11);
-  group.net.start();
-  group.run_until(milliseconds(100));
-  group.net.set_drop_filter([producer = group.ids[0]](
+  TestCluster group(stratus());
+  const auto& ids = group.consensus_ids();
+  group.add_client({ids[0]}, 3000, seconds(8), 11);
+  group.net().start();
+  group.net().run_until(milliseconds(100));
+  group.net().set_drop_filter([producer = ids[0]](
                                 NodeId, NodeId to, const runtime::Message& m) {
     return to == producer && std::string(m.name()) == "MbAck";
   });
-  group.run_until(seconds(3));
-  EXPECT_GE(group.nodes[0]->unconfirmed_txs(), kUnconfirmedTxCap);
-  EXPECT_GT(group.shed_at_cap(), 0u);
+  group.net().run_until(seconds(3));
+  EXPECT_GE(group.nodes[0].pool->unconfirmed_txs(), kUnconfirmedTxCap);
+  EXPECT_GT(shed_at_cap(group), 0u);
 
-  group.net.set_drop_filter(nullptr);
-  group.run_until(seconds(10));
-  EXPECT_EQ(group.nodes[0]->unconfirmed_txs(), 0u);
+  group.net().set_drop_filter(nullptr);
+  group.net().run_until(seconds(10));
+  EXPECT_EQ(group.nodes[0].pool->unconfirmed_txs(), 0u);
   EXPECT_GT(group.metrics.committed_txs(), 2 * kUnconfirmedTxCap);
   EXPECT_TRUE(group.ledger.consistent());
 }

@@ -12,46 +12,34 @@ namespace {
 
 using testing::TestCluster;
 
-struct CensorCluster : TestCluster {
-  CensorCluster() : TestCluster(4, 1) {
-    const auto keys = producer_keys(ids);
-    for (std::size_t i = 0; i < 4; ++i) {
-      PredisConfig pcfg;
-      pcfg.bundle_size = 20;
-      pcfg.bundle_interval = milliseconds(20);
-      nodes.push_back(std::make_unique<PredisPbftNode>(
-          context(i), pcfg, keys, KeyPair::from_seed(ids[i]), ledger));
-      net.attach(ids[i], nodes.back().get());
-    }
-  }
-  std::vector<std::unique_ptr<PredisPbftNode>> nodes;
-};
+/// P-PBFT with 20-transaction bundles cut every 20 ms.
+core::ClusterConfig censor_config() {
+  auto cfg = testing::cluster_config(core::Protocol::kPredisPbft);
+  cfg.bundle_size = 20;
+  cfg.bundle_interval = milliseconds(20);
+  return cfg;
+}
 
-ClientActor* add_resubmitting_client(CensorCluster& cluster, NodeId target,
+/// One client aimed at `target` that consigns transactions unconfirmed
+/// after `resubmit` to the other consensus nodes.
+ClientActor* add_resubmitting_client(TestCluster& cluster, NodeId target,
                                      double tps, SimTime resubmit) {
-  runtime::NodeConfig ncfg;
-  ncfg.up_bw = 10 * runtime::kBandwidth100Mbps;
-  ncfg.down_bw = 10 * runtime::kBandwidth100Mbps;
-  const NodeId id = cluster.net.add_node(ncfg);
-  ClientConfig ccfg;
-  ccfg.self = id;
-  ccfg.targets = {target};
-  ccfg.all_consensus = cluster.ids;
-  ccfg.resubmit_timeout = resubmit;
-  ccfg.tx_per_second = tps;
-  ccfg.stop_at = seconds(2);
-  ccfg.seed = 99;
-  cluster.clients.push_back(
-      std::make_unique<ClientActor>(cluster.net, ccfg, cluster.metrics));
-  cluster.net.attach(id, cluster.clients.back().get());
+  ClientConfig shape;
+  shape.all_consensus = cluster.consensus_ids();
+  shape.resubmit_timeout = resubmit;
+  shape.tx_per_second = tps;
+  shape.stop_at = seconds(2);
+  shape.seed = 99;
+  cluster.clients = add_clients(cluster.net(), {target}, 1, /*regions=*/1,
+                                /*broadcast=*/false, shape, cluster.metrics);
   return cluster.clients.back().get();
 }
 
 TEST(Censorship, DroppedTransactionsCommitViaResubmission) {
-  CensorCluster cluster;
+  TestCluster cluster(censor_config());
   // Node 3 censors: every client request addressed to it is dropped.
-  const NodeId censor = cluster.ids[3];
-  cluster.net.set_drop_filter(
+  const NodeId censor = cluster.consensus_ids()[3];
+  cluster.net().set_drop_filter(
       [censor](NodeId, NodeId to, const runtime::Message& msg) {
         return to == censor &&
                std::string(msg.name()) == "ClientRequest";
@@ -59,8 +47,8 @@ TEST(Censorship, DroppedTransactionsCommitViaResubmission) {
 
   ClientActor* client = add_resubmitting_client(
       cluster, censor, 200, milliseconds(600));
-  cluster.net.start();
-  cluster.run_until(seconds(6));
+  cluster.net().start();
+  cluster.net().run_until(seconds(6));
 
   // Every transaction eventually committed through another node.
   EXPECT_GT(client->resubmissions(), 0u);
@@ -69,11 +57,11 @@ TEST(Censorship, DroppedTransactionsCommitViaResubmission) {
 }
 
 TEST(Censorship, NoResubmissionsWhenTargetHonest) {
-  CensorCluster cluster;
+  TestCluster cluster(censor_config());
   ClientActor* client = add_resubmitting_client(
-      cluster, cluster.ids[0], 200, milliseconds(600));
-  cluster.net.start();
-  cluster.run_until(seconds(4));
+      cluster, cluster.consensus_ids()[0], 200, milliseconds(600));
+  cluster.net().start();
+  cluster.net().run_until(seconds(4));
   EXPECT_EQ(client->resubmissions(), 0u);
   EXPECT_EQ(cluster.metrics.latencies().count(), client->submitted());
 }

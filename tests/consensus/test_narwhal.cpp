@@ -9,54 +9,39 @@ namespace {
 
 using testing::TestCluster;
 
-struct SmCluster : TestCluster {
-  explicit SmCluster(std::size_t ack_quorum, std::size_t n = 4,
-                     std::size_t f = 1)
-      : TestCluster(n, f) {
-    SharedMempoolConfig ncfg;
-    ncfg.microblock_size = 20;
-    ncfg.pack_interval = milliseconds(20);
-    ncfg.ack_quorum = ack_quorum;
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(
-          std::make_unique<SharedMempoolNode>(context(i), ncfg, ledger));
-      net.attach(ids[i], nodes.back().get());
-    }
-  }
-
-  void add_clients(double total_tps, SimTime stop) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      add_client({ids[i]}, total_tps / static_cast<double>(ids.size()),
-                 stop, 61 + i);
-    }
-  }
-
-  std::vector<std::unique_ptr<SharedMempoolNode>> nodes;
-};
+/// Narwhal (RBC, n - f acks) or Stratus (PAB, f + 1 acks) with
+/// 20-transaction microblocks packed every 20 ms.
+core::ClusterConfig shared_mempool(core::Protocol protocol) {
+  auto cfg = testing::cluster_config(protocol);
+  cfg.bundle_size = 20;
+  cfg.bundle_interval = milliseconds(20);
+  return cfg;
+}
 
 TEST(Narwhal, CommitsWithRbcQuorum) {
-  SmCluster cluster(/*ack_quorum=*/3);  // n - f
-  cluster.add_clients(1000, seconds(2));
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  TestCluster cluster(shared_mempool(core::Protocol::kNarwhal));
+  cluster.add_node_clients(250, seconds(2), 61);
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
   EXPECT_GT(cluster.metrics.committed_txs(), 1200u);
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
 TEST(Stratus, CommitsWithPabQuorum) {
-  SmCluster cluster(/*ack_quorum=*/2);  // f + 1
-  cluster.add_clients(1000, seconds(2));
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  TestCluster cluster(shared_mempool(core::Protocol::kStratus));
+  cluster.add_node_clients(250, seconds(2), 61);
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
   EXPECT_GT(cluster.metrics.committed_txs(), 1200u);
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
 TEST(SharedMempool, NoTransactionCommittedTwice) {
-  SmCluster cluster(3);
-  auto* client = cluster.add_client(cluster.ids, 300, seconds(2), 5);
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  TestCluster cluster(shared_mempool(core::Protocol::kNarwhal));
+  auto* client =
+      cluster.add_client(cluster.consensus_ids(), 300, seconds(2), 5);
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
   // The client broadcast to all nodes; each node packs its own copy of
   // the duplicates into microblocks, but dedup happens at reply time —
   // commits may exceed submissions (microblocks are not deduplicated
@@ -84,13 +69,13 @@ TEST(SharedMempool, StratusCertificatesAreSmaller) {
 }
 
 TEST(SharedMempool, SurvivesCrashOfOneNode) {
-  SmCluster cluster(3);
-  cluster.add_clients(600, seconds(3));
-  cluster.net.start();
-  cluster.run_until(milliseconds(800));
+  TestCluster cluster(shared_mempool(core::Protocol::kNarwhal));
+  cluster.add_node_clients(150, seconds(3), 61);
+  cluster.net().start();
+  cluster.net().run_until(milliseconds(800));
   const auto before = cluster.metrics.committed_txs();
-  cluster.net.set_node_down(cluster.ids[2], true);
-  cluster.run_until(seconds(4));
+  cluster.net().set_node_down(cluster.consensus_ids()[2], true);
+  cluster.net().run_until(seconds(4));
   EXPECT_GT(cluster.metrics.committed_txs(), before);
   EXPECT_TRUE(cluster.ledger.consistent());
 }

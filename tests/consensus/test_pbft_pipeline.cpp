@@ -10,34 +10,28 @@ namespace {
 
 using testing::TestCluster;
 
-struct PipelineCluster : TestCluster {
-  explicit PipelineCluster(SeqNum window, std::size_t n = 4)
-      : TestCluster(n, (n - 1) / 3) {
-    PbftNodeConfig ncfg;
-    ncfg.batch_size = 100;
-    ncfg.pipeline_window = window;
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<PbftNode>(context(i), ncfg, ledger));
-      net.attach(ids[i], nodes.back().get());
-    }
-  }
-  std::vector<std::unique_ptr<PbftNode>> nodes;
-};
+/// PBFT with 100-transaction batches and `window` slots in flight.
+core::ClusterConfig pipeline(SeqNum window) {
+  auto cfg = testing::cluster_config(core::Protocol::kPbft);
+  cfg.batch_size = 100;
+  cfg.pbft_pipeline_window = window;
+  return cfg;
+}
 
 TEST(PbftPipeline, WindowOneMatchesSerializedBehaviour) {
-  PipelineCluster cluster(1);
-  cluster.add_client(cluster.ids, 500, seconds(2));
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  TestCluster cluster(pipeline(1));
+  cluster.add_client(cluster.consensus_ids(), 500, seconds(2));
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
   EXPECT_GT(cluster.metrics.committed_txs(), 800u);
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
 TEST(PbftPipeline, DeepWindowCommitsEverythingExactlyOnce) {
-  PipelineCluster cluster(8);
-  auto* client = cluster.add_client(cluster.ids, 800, seconds(2));
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  TestCluster cluster(pipeline(8));
+  auto* client = cluster.add_client(cluster.consensus_ids(), 800, seconds(2));
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
   EXPECT_EQ(cluster.metrics.committed_txs(), client->submitted());
   EXPECT_EQ(cluster.metrics.latencies().count(), client->submitted());
   EXPECT_TRUE(cluster.ledger.consistent());
@@ -45,10 +39,10 @@ TEST(PbftPipeline, DeepWindowCommitsEverythingExactlyOnce) {
 
 TEST(PbftPipeline, PipeliningReducesLatencyUnderLoad) {
   auto run = [](SeqNum window) {
-    PipelineCluster cluster(window);
-    cluster.add_client(cluster.ids, 3000, seconds(3));
-    cluster.net.start();
-    cluster.run_until(seconds(4));
+    TestCluster cluster(pipeline(window));
+    cluster.add_client(cluster.consensus_ids(), 3000, seconds(3));
+    cluster.net().start();
+    cluster.net().run_until(seconds(4));
     EXPECT_TRUE(cluster.ledger.consistent());
     return cluster.metrics.latencies().mean();
   };
@@ -59,38 +53,38 @@ TEST(PbftPipeline, PipeliningReducesLatencyUnderLoad) {
 }
 
 TEST(PbftPipeline, LeaderCrashMidPipelineStaysSafe) {
-  PipelineCluster cluster(4);
-  cluster.add_client(cluster.ids, 1500, seconds(4));
-  cluster.net.start();
-  cluster.run_until(milliseconds(700));
+  TestCluster cluster(pipeline(4));
+  cluster.add_client(cluster.consensus_ids(), 1500, seconds(4));
+  cluster.net().start();
+  cluster.net().run_until(milliseconds(700));
   const auto before = cluster.metrics.committed_txs();
   EXPECT_GT(before, 0u);
 
-  cluster.net.set_node_down(cluster.ids[0], true);
-  cluster.run_until(seconds(5));
+  cluster.net().set_node_down(cluster.consensus_ids()[0], true);
+  cluster.net().run_until(seconds(5));
   EXPECT_GT(cluster.metrics.committed_txs(), before);
   EXPECT_TRUE(cluster.ledger.consistent());
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GE(cluster.nodes[i]->core().view(), 1u);
+    EXPECT_GE(cluster.nodes[i].pbft->view(), 1u);
     // All survivors executed the same prefix.
-    EXPECT_EQ(cluster.nodes[i]->core().last_executed(),
-              cluster.nodes[1]->core().last_executed());
+    EXPECT_EQ(cluster.nodes[i].pbft->last_executed(),
+              cluster.nodes[1].pbft->last_executed());
   }
 }
 
 class PipelineSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PipelineSeeds, RandomCrashSafetySweep) {
-  PipelineCluster cluster(4);
+  TestCluster cluster(pipeline(4));
   const std::uint64_t seed = GetParam();
-  cluster.add_client(cluster.ids, 1200, seconds(3), seed);
-  cluster.net.start();
-  cluster.schedule_at(
+  cluster.add_client(cluster.consensus_ids(), 1200, seconds(3), seed);
+  cluster.net().start();
+  PREDIS_FIRE_AND_FORGET(cluster.net().schedule_after(
       milliseconds(200 + 170 * static_cast<SimTime>(seed % 6)),
       [&cluster, seed] {
-        cluster.net.set_node_down(cluster.ids[seed % 4], true);
-      });
-  cluster.run_until(seconds(4));
+        cluster.net().set_node_down(cluster.consensus_ids()[seed % 4], true);
+      }));
+  cluster.net().run_until(seconds(4));
   EXPECT_TRUE(cluster.ledger.consistent());
   EXPECT_GT(cluster.metrics.committed_txs(), 0u);
 }

@@ -13,85 +13,63 @@ namespace {
 using testing::TestCluster;
 
 TEST(StateTransfer, CheckpointsBecomeStableDuringNormalOperation) {
-  TestCluster cluster(4, 1);
-  pbft::PbftNodeConfig ncfg;
-  ncfg.batch_size = 50;
-  std::vector<std::unique_ptr<pbft::PbftNode>> nodes;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(
-        std::make_unique<pbft::PbftNode>(cluster.context(i), ncfg,
-                                         cluster.ledger));
-    nodes.back()->core().set_checkpoint_interval(8);
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
-  cluster.add_client(cluster.ids, 800, seconds(2));
-  cluster.net.start();
-  cluster.run_until(seconds(3));
+  auto cfg = testing::cluster_config(core::Protocol::kPbft);
+  cfg.batch_size = 50;
+  TestCluster cluster(cfg);
+  for (auto& node : cluster.nodes) node.pbft->set_checkpoint_interval(8);
+  cluster.add_client(cluster.consensus_ids(), 800, seconds(2));
+  cluster.net().start();
+  cluster.net().run_until(seconds(3));
 
-  for (auto& node : nodes) {
-    EXPECT_GT(node->core().stable_checkpoint(), 0u);
-    EXPECT_LE(node->core().stable_checkpoint(),
-              node->core().last_executed());
+  for (auto& node : cluster.nodes) {
+    EXPECT_GT(node.pbft->stable_checkpoint(), 0u);
+    EXPECT_LE(node.pbft->stable_checkpoint(), node.pbft->last_executed());
   }
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
 TEST(StateTransfer, RevivedPredisReplicaCatchesUpViaSnapshot) {
-  TestCluster cluster(4, 1);
-  const auto keys = producer_keys(cluster.ids);
-  std::vector<std::unique_ptr<predis::PredisPbftNode>> nodes;
-  for (std::size_t i = 0; i < 4; ++i) {
-    predis::PredisConfig pcfg;
-    pcfg.bundle_size = 20;
-    pcfg.bundle_interval = milliseconds(20);
-    nodes.push_back(std::make_unique<predis::PredisPbftNode>(
-        cluster.context(i), pcfg, keys, KeyPair::from_seed(cluster.ids[i]),
-        cluster.ledger));
-    nodes.back()->core().set_checkpoint_interval(8);
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    cluster.add_client({cluster.ids[i]}, 300, seconds(8), 70 + i);
-  }
-  cluster.net.start();
+  auto cfg = testing::cluster_config(core::Protocol::kPredisPbft);
+  cfg.bundle_size = 20;
+  cfg.bundle_interval = milliseconds(20);
+  TestCluster cluster(cfg);
+  const auto& nodes = cluster.nodes;
+  for (auto& node : nodes) node.pbft->set_checkpoint_interval(8);
+  cluster.add_node_clients(300, seconds(8), 70);
+  cluster.net().start();
 
   // Node 3 goes dark for two simulated seconds.
-  cluster.run_until(seconds(1));
-  cluster.net.set_node_down(cluster.ids[3], true);
-  cluster.run_until(seconds(3));
-  cluster.net.set_node_down(cluster.ids[3], false);
+  const NodeId node3 = cluster.consensus_ids()[3];
+  cluster.net().run_until(seconds(1));
+  cluster.net().set_node_down(node3, true);
+  cluster.net().run_until(seconds(3));
+  cluster.net().set_node_down(node3, false);
 
-  cluster.run_until(seconds(9));
+  cluster.net().run_until(seconds(9));
 
   // The revived node adopted a snapshot and is close to the others.
-  EXPECT_GE(nodes[3]->core().state_transfers(), 1u);
-  const SeqNum healthy = nodes[0]->core().last_executed();
+  EXPECT_GE(nodes[3].pbft->state_transfers(), 1u);
+  const SeqNum healthy = nodes[0].pbft->last_executed();
   EXPECT_GT(healthy, 20u);
-  EXPECT_GE(nodes[3]->core().last_executed() + 20, healthy);
+  EXPECT_GE(nodes[3].pbft->last_executed() + 20, healthy);
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
 TEST(StateTransfer, SnapshotFromSingleNodeRequiresCertificate) {
   // A snapshot whose (seq, digest) lacks a quorum certificate must be
   // ignored. Drive the core directly with a forged snapshot message.
-  TestCluster cluster(4, 1);
-  pbft::PbftNodeConfig ncfg;
-  std::vector<std::unique_ptr<pbft::PbftNode>> nodes;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(std::make_unique<pbft::PbftNode>(cluster.context(i),
-                                                     ncfg, cluster.ledger));
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
-  cluster.net.start();
+  TestCluster cluster(testing::cluster_config(core::Protocol::kPbft));
+  cluster.net().start();
 
   auto forged = std::make_shared<pbft::StateSnapshotMsg>();
   forged->seq = 100;
   forged->digest = Sha256::hash(as_bytes(std::string("poison")));
-  cluster.net.send(cluster.ids[1], cluster.ids[0], forged);
-  cluster.run_until(milliseconds(200));
+  const auto& ids = cluster.consensus_ids();
+  cluster.net().send(ids[1], ids[0], forged);
+  cluster.net().run_until(milliseconds(200));
 
-  EXPECT_EQ(nodes[0]->core().last_executed(), 0u);
-  EXPECT_EQ(nodes[0]->core().state_transfers(), 0u);
+  EXPECT_EQ(cluster.nodes[0].pbft->last_executed(), 0u);
+  EXPECT_EQ(cluster.nodes[0].pbft->state_transfers(), 0u);
 }
 
 }  // namespace

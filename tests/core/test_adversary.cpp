@@ -17,13 +17,12 @@
 
 #include "../consensus/cluster.hpp"
 #include "consensus/hotstuff/hotstuff_node.hpp"
-#include "consensus/narwhal/shared_mempool.hpp"
 #include "consensus/pbft/pbft_node.hpp"
-#include "consensus/predis/predis_nodes.hpp"
 
 namespace predis::core {
 namespace {
 
+using consensus::testing::cluster_config;
 using consensus::testing::TestCluster;
 
 TEST(AttackKind, ToStringCoversEveryKind) {
@@ -89,81 +88,58 @@ TEST(ConfigureAttack, NoneYieldsEmptyPlan) {
 
 /// Fire repeated hostile bursts from node 0 while honest traffic flows.
 /// Returns the injector's message count.
-template <typename Cluster>
-std::size_t bombard(Cluster& cluster, Protocol protocol) {
+std::size_t bombard(TestCluster& cluster, Protocol protocol) {
+  const auto& ids = cluster.consensus_ids();
   auto injector = std::make_shared<HostileInjector>(
-      cluster.net, protocol, cluster.ids);
+      cluster.net(), protocol, ids);
   for (int burst = 0; burst < 10; ++burst) {
-    cluster.schedule_at(milliseconds(300 * (burst + 1)),
-                            [injector, &cluster] {
-                              injector->burst(cluster.ids[0]);
-                            });
+    PREDIS_FIRE_AND_FORGET(cluster.net().schedule_after(
+        milliseconds(300 * (burst + 1)),
+        [injector, &ids] { injector->burst(ids[0]); }));
   }
-  cluster.add_client(cluster.ids, 400, seconds(4));
-  cluster.net.start();
-  cluster.run_until(seconds(5));
+  cluster.add_client(ids, 400, seconds(4));
+  cluster.net().start();
+  cluster.net().run_until(seconds(5));
   return injector->injected();
 }
 
 TEST(HostileInjector, PbftClusterSurvivesFullArsenal) {
-  TestCluster cluster(4, 1);
-  std::vector<std::unique_ptr<consensus::pbft::PbftNode>> nodes;
-  consensus::pbft::PbftNodeConfig ncfg;
-  ncfg.batch_size = 50;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(std::make_unique<consensus::pbft::PbftNode>(
-        cluster.context(i), ncfg, cluster.ledger));
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
-  const std::size_t injected = bombard(cluster, Protocol::kPbft);
+  ClusterConfig cfg = cluster_config(Protocol::kPbft);
+  cfg.batch_size = 50;
+  TestCluster cluster(cfg);
+  const std::size_t injected = bombard(cluster, cfg.protocol);
 
   EXPECT_GT(injected, 0u);
   EXPECT_TRUE(cluster.ledger.consistent());
   EXPECT_GT(cluster.metrics.committed_txs(), 400u);
-  for (const auto& node : nodes) {
+  for (const auto& node : cluster.nodes) {
     // Forged NewViews (proof = 0) and absurd-seq votes must not move
     // the view anywhere near the attacker's 2^40 values, and the
     // watermark keeps execution contiguous.
-    EXPECT_LT(node->core().view(), 1000u);
-    EXPECT_LT(node->core().last_executed(), 1u << 20);
+    EXPECT_LT(node.pbft->view(), 1000u);
+    EXPECT_LT(node.pbft->last_executed(), 1u << 20);
   }
 }
 
 TEST(HostileInjector, HotStuffClusterIgnoresForgedQuorumCerts) {
-  TestCluster cluster(4, 1);
-  std::vector<std::unique_ptr<consensus::hotstuff::HotStuffNode>> nodes;
-  consensus::hotstuff::HotStuffNodeConfig ncfg;
-  ncfg.batch_size = 50;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(std::make_unique<consensus::hotstuff::HotStuffNode>(
-        cluster.context(i), ncfg, cluster.ledger));
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
-  const std::size_t injected = bombard(cluster, Protocol::kHotStuff);
+  ClusterConfig cfg = cluster_config(Protocol::kHotStuff);
+  cfg.batch_size = 50;
+  TestCluster cluster(cfg);
+  const std::size_t injected = bombard(cluster, cfg.protocol);
 
   EXPECT_GT(injected, 0u);
   EXPECT_TRUE(cluster.ledger.consistent());
   EXPECT_GT(cluster.metrics.committed_txs(), 400u);
-  for (const auto& node : nodes) {
+  for (const auto& node : cluster.nodes) {
     // A zero-signer QC at round 2^40 must not become high_qc (it would
     // drag cur_round there and destroy liveness for good).
-    EXPECT_LT(node->core().current_round(), 10'000u);
-    EXPECT_GT(node->core().committed_round(), 0u);
+    EXPECT_LT(node.hotstuff->current_round(), 10'000u);
+    EXPECT_GT(node.hotstuff->committed_round(), 0u);
   }
 }
 
 TEST(HostileInjector, NarwhalClusterRejectsImpersonationAndForgedCerts) {
-  TestCluster cluster(4, 1);
-  std::vector<std::unique_ptr<consensus::narwhal::SharedMempoolNode>> nodes;
-  consensus::narwhal::SharedMempoolConfig ncfg;
-  ncfg.microblock_size = 50;
-  ncfg.ack_quorum = 3;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(
-        std::make_unique<consensus::narwhal::SharedMempoolNode>(
-            cluster.context(i), ncfg, cluster.ledger));
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
+  TestCluster cluster(cluster_config(Protocol::kNarwhal));
   const std::size_t injected = bombard(cluster, Protocol::kNarwhal);
 
   EXPECT_GT(injected, 0u);
@@ -172,22 +148,13 @@ TEST(HostileInjector, NarwhalClusterRejectsImpersonationAndForgedCerts) {
   // microblocks keep certifying and committing on the same ledger.
   EXPECT_TRUE(cluster.ledger.consistent());
   EXPECT_GT(cluster.metrics.committed_txs(), 400u);
-  for (const auto& node : nodes) {
-    EXPECT_LT(node->core().current_round(), 10'000u);
+  for (const auto& node : cluster.nodes) {
+    EXPECT_LT(node.hotstuff->current_round(), 10'000u);
   }
 }
 
 TEST(HostileInjector, PredisClusterCapsAbsurdHeightFetchSpans) {
-  TestCluster cluster(4, 1);
-  std::vector<std::unique_ptr<consensus::predis::PredisPbftNode>> nodes;
-  consensus::predis::PredisConfig pcfg;
-  pcfg.bundle_size = 50;
-  for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(std::make_unique<consensus::predis::PredisPbftNode>(
-        cluster.context(i), pcfg, consensus::producer_keys(cluster.ids),
-        KeyPair::from_seed(cluster.ids[i]), cluster.ledger));
-    cluster.net.attach(cluster.ids[i], nodes.back().get());
-  }
+  TestCluster cluster(cluster_config(Protocol::kPredisPbft));
   // The arsenal includes a *validly signed* bundle at height ~2^40:
   // without the kMaxFetchSpan cap the missing-parent fetch loop walks
   // the entire claimed gap and this test never finishes.
@@ -196,8 +163,8 @@ TEST(HostileInjector, PredisClusterCapsAbsurdHeightFetchSpans) {
   EXPECT_GT(injected, 0u);
   EXPECT_TRUE(cluster.ledger.consistent());
   EXPECT_GT(cluster.metrics.committed_txs(), 400u);
-  for (const auto& node : nodes) {
-    EXPECT_LT(node->core().view(), 1000u);
+  for (const auto& node : cluster.nodes) {
+    EXPECT_LT(node.pbft->view(), 1000u);
   }
 }
 
@@ -205,21 +172,13 @@ TEST(HostileInjector, BurstsAreDeterministic) {
   // Two identical clusters, same burst schedule: identical counts (the
   // injector derives every junk value from its own nonce sequence).
   auto run = [] {
-    TestCluster cluster(4, 1);
-    std::vector<std::unique_ptr<consensus::pbft::PbftNode>> nodes;
-    consensus::pbft::PbftNodeConfig ncfg;
-    for (std::size_t i = 0; i < 4; ++i) {
-      nodes.push_back(std::make_unique<consensus::pbft::PbftNode>(
-          cluster.context(i), ncfg, cluster.ledger));
-      cluster.net.attach(cluster.ids[i], nodes.back().get());
-    }
-    HostileInjector injector(cluster.net, Protocol::kPbft, cluster.ids);
+    TestCluster cluster(cluster_config(Protocol::kPbft));
+    const auto& ids = cluster.consensus_ids();
+    HostileInjector injector(cluster.net(), Protocol::kPbft, ids);
     std::vector<std::size_t> per_burst;
-    for (int b = 0; b < 5; ++b) {
-      per_burst.push_back(injector.burst(cluster.ids[0]));
-    }
-    cluster.net.start();
-    cluster.run_until(seconds(1));
+    for (int b = 0; b < 5; ++b) per_burst.push_back(injector.burst(ids[0]));
+    cluster.net().start();
+    cluster.net().run_until(seconds(1));
     return per_burst;
   };
   EXPECT_EQ(run(), run());

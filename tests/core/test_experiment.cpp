@@ -44,8 +44,7 @@ TEST_P(AllProtocols, FactoryBuildsTheProtocolsNodeType) {
   ClusterConfig cfg;
   cfg.protocol = p;
   const ConsensusNode node = make_consensus_node(
-      cfg, 0, cluster.context(0), consensus::producer_keys(cluster.ids),
-      cluster.ledger, nullptr);
+      cfg, 0, cluster.context(0), cluster.keys, cluster.ledger, nullptr);
   const bool predis =
       p == Protocol::kPredisPbft || p == Protocol::kPredisHotStuff;
   const bool pbft = p == Protocol::kPbft || p == Protocol::kPredisPbft;
@@ -82,19 +81,15 @@ TEST(Experiment, ParsesThePredisAliasAndRejectsUnknownNames) {
 // Fig. 6 fault injection: only the last n_faulty nodes run the fault
 // mode, and every engine carries the run's seed.
 TEST(Experiment, FactoryFaultsOnlyTheLastNodes) {
-  consensus::testing::TestCluster cluster(4, 1);
   ClusterConfig cfg;
   cfg.protocol = Protocol::kPredisPbft;
   cfg.n_faulty = 1;
   cfg.fault_mode = consensus::predis::FaultMode::kSilent;
   cfg.seed = 77;
-  const auto keys = consensus::producer_keys(cluster.ids);
-  std::vector<ConsensusNode> nodes;
+  const consensus::testing::TestCluster cluster(cfg);
   for (std::size_t i = 0; i < 4; ++i) {
-    nodes.push_back(make_consensus_node(cfg, i, cluster.context(i), keys,
-                                        cluster.ledger, nullptr));
-    ASSERT_NE(nodes.back().engine, nullptr);
-    const auto& engine_cfg = nodes.back().engine->config();
+    ASSERT_NE(cluster.nodes[i].engine, nullptr);
+    const auto& engine_cfg = cluster.nodes[i].engine->config();
     EXPECT_EQ(engine_cfg.fault, i == 3 ? cfg.fault_mode
                                        : consensus::predis::FaultMode::kNone)
         << "node " << i;

@@ -22,6 +22,7 @@
 namespace predis::core {
 namespace {
 
+using consensus::testing::cluster_config;
 using consensus::testing::TestCluster;
 
 enum class Scenario { kSteady, kCrashRestart, kLeaderCrash };
@@ -30,40 +31,37 @@ constexpr std::size_t kN = 4;
 constexpr std::size_t kF = 1;
 // A 200 ms outage: the restarted node catches up on the blocks it
 // missed and executes some of them (a longer one sends plain PBFT into a
-// restart it never recovers from, see ROADMAP item 9).
+// restart it never recovers from, see ROADMAP item 1).
 constexpr SimTime kRestartAt = milliseconds(1000);
 
 struct RootCluster {
   RootCluster(Protocol protocol, std::size_t observed)
       : cluster(kN, kF), ledgers(kN) {
-    ClusterConfig cfg;
-    cfg.protocol = protocol;
-    cfg.n_consensus = kN;
-    cfg.f = kF;
-    const auto keys = consensus::producer_keys(cluster.ids);
+    const ClusterConfig cfg = cluster_config(protocol, kN, kF);
+    const auto& ids = cluster.consensus_ids();
     for (std::size_t i = 0; i < kN; ++i) {
       auto& ledger = ledgers[i];
       auto record = [&ledger](const Hash32& digest, const Hash32& tx_root,
                               std::size_t tx_count, SimTime when) {
         ledger.append_block(digest, tx_root, tx_count, when);
       };
-      nodes.push_back(make_consensus_node(cfg, i, cluster.context(i), keys,
-                                          cluster.ledger, nullptr, record));
+      cluster.nodes.push_back(make_consensus_node(
+          cfg, i, cluster.context(i), cluster.keys, cluster.ledger, nullptr,
+          record));
     }
     // Pad the id space so the client's id maps to the observed node.
-    NodeId pad = cluster.net.add_node(runtime::node_100mbps(0));
+    NodeId pad = cluster.net().add_node(runtime::node_100mbps(0));
     while ((pad + 1) % kN != observed) {
-      pad = cluster.net.add_node(runtime::node_100mbps(0));
+      pad = cluster.net().add_node(runtime::node_100mbps(0));
     }
     // Node 1 is never crashed below, so Predis-style load keeps flowing.
-    std::vector<NodeId> targets = clients_broadcast(protocol)
-                                      ? cluster.ids
-                                      : std::vector<NodeId>{cluster.ids[1]};
-    client = cluster.add_client(std::move(targets), 1500, seconds(3))->id();
-    const NodeId observed_id = cluster.ids[observed];
-    cluster.net.set_drop_filter([this, observed_id](
-                                    NodeId from, NodeId to,
-                                    const runtime::Message& msg) {
+    const std::vector<NodeId> targets =
+        clients_broadcast(protocol) ? ids : std::vector<NodeId>{ids[1]};
+    client = cluster.add_client(targets, 1500, seconds(3))->id();
+    const NodeId observed_id = ids[observed];
+    cluster.net().set_drop_filter([this, observed_id](
+                                      NodeId from, NodeId to,
+                                      const runtime::Message& msg) {
       if (from == client) {
         if (const auto* req = dynamic_cast<const ClientRequestMsg*>(&msg)) {
           for (const auto& tx : req->txs) submitted[tx.seq] = tx;
@@ -78,13 +76,14 @@ struct RootCluster {
   }
 
   void run(Scenario scenario) {
-    cluster.net.start();
+    cluster.net().start();
     const auto outage = [this](std::size_t node, SimTime down, SimTime up) {
-      cluster.run_until(down);
-      cluster.net.set_node_down(cluster.ids[node], true);
+      const NodeId id = cluster.consensus_ids()[node];
+      cluster.net().run_until(down);
+      cluster.net().set_node_down(id, true);
       if (up > 0) {
-        cluster.run_until(up);
-        cluster.net.set_node_down(cluster.ids[node], false);
+        cluster.net().run_until(up);
+        cluster.net().set_node_down(id, false);
       }
     };
     if (scenario == Scenario::kCrashRestart) {
@@ -92,12 +91,11 @@ struct RootCluster {
     } else if (scenario == Scenario::kLeaderCrash) {
       outage(0, milliseconds(800), 0);  // never returns
     }
-    cluster.run_until(seconds(5));
+    cluster.net().run_until(seconds(5));
   }
 
   TestCluster cluster;
   std::vector<Ledger> ledgers;
-  std::vector<ConsensusNode> nodes;
   NodeId client = kNoNode;
   std::map<TxSeq, Transaction> submitted;
   std::vector<std::vector<TxSeq>> replies;  ///< Observed node, in order.

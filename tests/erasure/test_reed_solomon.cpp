@@ -21,7 +21,7 @@ TEST(ReedSolomon, RoundTripAllShardsPresent) {
   ASSERT_EQ(shards.size(), 6u);
 
   std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
-  EXPECT_EQ(rs.decode(input), payload);
+  EXPECT_EQ(rs.try_decode(input).value(), payload);
 }
 
 TEST(ReedSolomon, SystematicPrefixIsPayload) {
@@ -55,7 +55,7 @@ TEST_P(RsParamTest, RecoversFromEveryMaximalLossPattern) {
           std::vector<std::optional<Bytes>> input(shards.begin(),
                                                   shards.end());
           for (std::size_t d : drop) input[d].reset();
-          EXPECT_EQ(rs.decode(input), payload);
+          EXPECT_EQ(rs.try_decode(input).value(), payload);
           return;
         }
         for (std::size_t i = start; i < n; ++i) {
@@ -83,7 +83,7 @@ TEST(ReedSolomon, PaperConfiguration16Nodes) {
   std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
   // Drop five parity + zero data, five data, and a mix.
   for (std::size_t d : {0u, 3u, 7u, 12u, 15u}) input[d].reset();
-  EXPECT_EQ(rs.decode(input), payload);
+  EXPECT_EQ(rs.try_decode(input).value(), payload);
 }
 
 TEST(ReedSolomon, TooFewShardsThrows) {
@@ -92,7 +92,8 @@ TEST(ReedSolomon, TooFewShardsThrows) {
   std::vector<std::optional<Bytes>> input(5);
   input[0] = shards[0];
   input[4] = shards[4];
-  EXPECT_THROW(rs.decode(input), std::invalid_argument);
+  EXPECT_EQ(rs.try_decode(input).error().code,
+            CodecErrorCode::kNotEnoughShards);
 }
 
 TEST(ReedSolomon, MismatchedShardSizesThrow) {
@@ -100,13 +101,15 @@ TEST(ReedSolomon, MismatchedShardSizesThrow) {
   auto shards = rs.encode(random_payload(100, 6));
   std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
   input[1]->push_back(0);
-  EXPECT_THROW(rs.decode(input), std::invalid_argument);
+  EXPECT_EQ(rs.try_decode(input).error().code,
+            CodecErrorCode::kShardSizeMismatch);
 }
 
 TEST(ReedSolomon, WrongShardCountThrows) {
   const ReedSolomon rs(2, 4);
   std::vector<std::optional<Bytes>> input(3);
-  EXPECT_THROW(rs.decode(input), std::invalid_argument);
+  EXPECT_EQ(rs.try_decode(input).error().code,
+            CodecErrorCode::kWrongShardCount);
 }
 
 TEST(ReedSolomon, InvalidParametersThrow) {
@@ -121,22 +124,7 @@ TEST(ReedSolomon, EmptyPayloadRoundTrips) {
   std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
   input[0].reset();
   input[2].reset();
-  EXPECT_TRUE(rs.decode(input).empty());
-}
-
-TEST(ReedSolomon, ReconstructAllRebuildsMissingStripes) {
-  const ReedSolomon rs(3, 5);
-  const Bytes payload = random_payload(512, 7);
-  const auto shards = rs.encode(payload);
-
-  std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
-  input[1].reset();
-  input[4].reset();
-  const auto rebuilt = rs.reconstruct_all(input);
-  ASSERT_EQ(rebuilt.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(rebuilt[i], shards[i]) << "stripe " << i;
-  }
+  EXPECT_TRUE(rs.try_decode(input).value().empty());
 }
 
 TEST(ReedSolomon, LargePayloadRoundTrip) {
@@ -146,7 +134,7 @@ TEST(ReedSolomon, LargePayloadRoundTrip) {
   std::vector<std::optional<Bytes>> input(shards.begin(), shards.end());
   input[0].reset();
   input[5].reset();
-  EXPECT_EQ(rs.decode(input), payload);
+  EXPECT_EQ(rs.try_decode(input).value(), payload);
 }
 
 TEST(ReedSolomon, CodingMatrixIsSystematic) {
@@ -175,7 +163,8 @@ TEST(ReedSolomon, RoundTripEveryShapeUpTo16) {
       // Drop the first n-k shards — forces the inverted-matrix path
       // whenever parity exists.
       for (std::size_t d = 0; d < n - k; ++d) input[d].reset();
-      ASSERT_EQ(rs.decode(input), payload) << "k=" << k << " n=" << n;
+      ASSERT_EQ(rs.try_decode(input).value(), payload)
+          << "k=" << k << " n=" << n;
     }
   }
 }

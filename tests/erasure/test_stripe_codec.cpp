@@ -40,7 +40,7 @@ TEST(StripeCodec, EncodeDecodeAllStripes) {
 
   std::vector<std::optional<Stripe>> input(encoded.stripes.begin(),
                                            encoded.stripes.end());
-  EXPECT_EQ(codec.decode(input), b);
+  EXPECT_EQ(codec.try_decode(input).value(), b);
 }
 
 TEST(StripeCodec, DecodesFromAnyKSubset) {
@@ -52,7 +52,8 @@ TEST(StripeCodec, DecodesFromAnyKSubset) {
     std::vector<std::optional<Stripe>> input(encoded.stripes.begin(),
                                              encoded.stripes.end());
     input[drop].reset();
-    EXPECT_EQ(codec.decode(input), b) << "dropped stripe " << drop;
+    EXPECT_EQ(codec.try_decode(input).value(), b)
+        << "dropped stripe " << drop;
   }
 }
 
@@ -87,7 +88,8 @@ TEST(StripeCodec, TooFewStripesThrow) {
   std::vector<std::optional<Stripe>> input(4);
   input[0] = encoded.stripes[0];
   input[3] = encoded.stripes[3];
-  EXPECT_THROW(codec.decode(input), std::invalid_argument);
+  EXPECT_EQ(codec.try_decode(input).error().code,
+            CodecErrorCode::kNotEnoughShards);
 }
 
 TEST(StripeCodec, TryDecodeRoundTrips) {
@@ -194,7 +196,7 @@ TEST_P(StripeCodecShapes, LossyRoundTripAtEveryShape) {
   std::vector<std::optional<Stripe>> input(encoded.stripes.begin(),
                                            encoded.stripes.end());
   for (std::size_t i = 0; i < n - k; ++i) input[i].reset();
-  EXPECT_EQ(codec.decode(input), b);
+  EXPECT_EQ(codec.try_decode(input).value(), b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
