@@ -1,20 +1,28 @@
 // predis-sim — command-line driver for the simulation framework.
 //
 // Run any protocol/topology experiment from the shell and get a table
-// or JSON back; the same entry points the bench binaries use, exposed
-// with flags.
+// or JSON back, or regenerate the paper's evaluation (§V) figure by
+// figure.
 //
 //   predis-sim cluster --protocol p-pbft --nodes 4 --load 10000 --wan
 //   predis-sim cluster --protocol narwhal --load 18000 --json
 //   predis-sim distribution --topology multi-zone --full-nodes 24 --zones 3
 //   predis-sim propagation --topology star --block-mb 5 --full-nodes 100
+//   predis-sim paper --figure fig7 --json
 //
 // Exit status is non-zero on inconsistent ledgers, so the tool can act
 // as a scriptable safety check.
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <variant>
+#include <vector>
 
+#include "bundle/predis_block.hpp"
+#include "consensus/narwhal/shared_mempool.hpp"
 #include "core/experiment.hpp"
 #include "multizone/experiments.hpp"
 #include "report.hpp"
@@ -22,8 +30,12 @@
 namespace {
 
 using namespace predis;
+using consensus::predis::FaultMode;
+using core::Protocol;
+using multizone::Topology;
 using tools::Args;
 using tools::json_ms;
+using tools::table_ms;
 
 constexpr const char* kUsage =
     "predis-sim — Predis / Multi-Zone simulation driver\n"
@@ -37,33 +49,213 @@ constexpr const char* kUsage =
     "                     [--duration S] [--seed N] [--json]\n"
     "  predis-sim propagation [--topology star|random|multi-zone]\n"
     "                     [--nodes N] [--block-mb N] [--blocks N]\n"
-    "                     [--full-nodes N] [--zones N] [--seed N] [--json]\n";
+    "                     [--full-nodes N] [--zones N] [--seed N] [--json]\n"
+    "  predis-sim paper [--figure fig4|fig5|fig6|fig7|fig8|ablation]\n"
+    "                     [--json]\n";
 
 int usage() {
   std::fputs(kUsage, stderr);
   return 2;
 }
 
+/// A count the runners divide by or loop on: zero crashes or hangs.
+std::size_t count(const Args& args, const std::string& name,
+                  double fallback) {
+  const double n = args.num(name, fallback);
+  if (n < 1 || n >= 1e9) args.fail("--" + name + " must be in [1, 1e9)");
+  return static_cast<std::size_t>(n);
+}
+
+Topology topology(const Args& args, std::initializer_list<Topology> known) {
+  const std::string flag = args.get("topology", "multi-zone");
+  for (const Topology t : known) {
+    if (flag == multizone::to_string(t)) return t;
+  }
+  args.fail("unknown --topology " + flag);
+}
+
+// One run kind per config type: `run` runs it, `print_json` writes its
+// result fields (the body of a JSON object), `print_row` writes its
+// one-line table row and `ok` says whether its safety checks held.
+
+core::ClusterResult run(const core::ClusterConfig& cfg) {
+  return core::run_cluster(cfg);
+}
+
+void print_json(const core::ClusterConfig& cfg, const core::ClusterResult& r) {
+  std::printf(
+      "\"protocol\":\"%s\",\"nodes\":%zu,\"wan\":%s,"
+      "\"offered_tps\":%.0f,\"throughput_tps\":%.1f,"
+      "\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,"
+      "\"p99_latency_ms\":%s,\"committed_txs\":%llu,"
+      "\"blocks\":%zu,\"consistent\":%s,\"ledgers_consistent\":%s,"
+      "\"consensus_uplink_mbps\":%.2f,\"shed_uplink_txs\":%llu,"
+      "\"shed_unconfirmed_txs\":%llu",
+      core::to_string(cfg.protocol), cfg.n_consensus,
+      cfg.wan ? "true" : "false", cfg.offered_load_tps, r.throughput_tps,
+      json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
+      json_ms(r.p50_latency_ms, r.latency_samples, 2).c_str(),
+      json_ms(r.p99_latency_ms, r.latency_samples, 2).c_str(),
+      static_cast<unsigned long long>(r.committed_txs), r.commit_events,
+      r.consistent ? "true" : "false",
+      r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps,
+      static_cast<unsigned long long>(r.shed_uplink_txs),
+      static_cast<unsigned long long>(r.shed_unconfirmed_txs));
+}
+
+bool ok(const core::ClusterResult& r) {
+  return r.consistent && r.ledgers_consistent;
+}
+
+void print_row(const std::string& series, const core::ClusterConfig& cfg,
+               const core::ClusterResult& r) {
+  std::printf("%-26s n=%-2zu %s offered=%6.0f tput=%7.0f lat_ms=%7s "
+              "p99=%7s%s\n",
+              series.c_str(), cfg.n_consensus, cfg.wan ? "WAN" : "LAN",
+              cfg.offered_load_tps, r.throughput_tps,
+              table_ms(r, r.avg_latency_ms).c_str(),
+              table_ms(r, r.p99_latency_ms).c_str(),
+              ok(r) ? "" : "  !!INCONSISTENT");
+}
+
+multizone::ThroughputResult run(const multizone::ThroughputConfig& cfg) {
+  return multizone::run_distribution_cluster(cfg);
+}
+
+void print_json(const multizone::ThroughputConfig& cfg,
+                const multizone::ThroughputResult& r) {
+  std::printf(
+      "\"topology\":\"%s\",\"full_nodes\":%zu,\"zones\":%zu,"
+      "\"throughput_tps\":%.1f,\"avg_latency_ms\":%s,"
+      "\"coverage\":%.3f,\"relayers\":%zu,\"uplink_mbps\":%.2f,"
+      "\"consistent\":%s",
+      multizone::to_string(cfg.topology), cfg.n_full, cfg.n_zones,
+      r.throughput_tps, json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
+      r.full_node_coverage, r.relayers_seen, r.consensus_uplink_mbps,
+      r.consistent ? "true" : "false");
+}
+
+bool ok(const multizone::ThroughputResult& r) { return r.consistent; }
+
+void print_row(const std::string& series,
+               const multizone::ThroughputConfig& cfg,
+               const multizone::ThroughputResult& r) {
+  std::printf("%-26s zones=%-2zu full=%-3zu tput=%7.0f lat_ms=%7s "
+              "uplink=%5.1fMbps coverage=%.2f%s\n",
+              series.c_str(), cfg.n_zones, cfg.n_full, r.throughput_tps,
+              table_ms(r, r.avg_latency_ms).c_str(), r.consensus_uplink_mbps,
+              r.full_node_coverage, ok(r) ? "" : "  !!INCONSISTENT");
+}
+
+multizone::PropagationResult run(const multizone::PropagationConfig& cfg) {
+  return multizone::run_propagation(cfg);
+}
+
+void print_json(const multizone::PropagationConfig& cfg,
+                const multizone::PropagationResult& r) {
+  std::printf("\"topology\":\"%s\",\"block_mb\":%.0f,\"coverage\":%.3f",
+              multizone::to_string(cfg.topology),
+              static_cast<double>(cfg.block_bytes) / (1 << 20),
+              r.full_coverage_fraction);
+  for (const auto& [frac, ms] : r.latency_ms_at_fraction) {
+    std::printf(",\"latency_ms_p%.0f\":%.1f", frac * 100, ms);
+  }
+}
+
+bool ok(const multizone::PropagationResult&) { return true; }
+
+void print_row(const std::string& series,
+               const multizone::PropagationConfig& cfg,
+               const multizone::PropagationResult& r) {
+  std::printf("%-26s block=%2zuMB", series.c_str(), cfg.block_bytes >> 20);
+  for (const double frac : {0.50, 0.90, 1.00}) {
+    const auto it = r.latency_ms_at_fraction.find(frac);
+    if (it == r.latency_ms_at_fraction.end()) {
+      std::printf(" %3.0f%%:     n/a", frac * 100);
+    } else {
+      std::printf(" %3.0f%%:%8.0fms", frac * 100, it->second);
+    }
+  }
+  std::printf("  coverage=%.2f\n", r.full_coverage_fraction);
+}
+
+/// §V-A: wire sizes of a proposal ordering `txs` transactions in 50-tx
+/// bundles (microblocks) at n_c = 80, filled in by `run`.
+struct ProposalSizes {
+  std::size_t txs = 0;
+  std::size_t predis_block = 0;
+  std::size_t narwhal_id_list = 0;
+  std::size_t stratus_id_list = 0;
+};
+
+constexpr std::size_t kProposalNodes = 80;
+
+ProposalSizes run(ProposalSizes s) {
+  const std::size_t f = (kProposalNodes - 1) / 3;
+  // A Predis block always carries at most n_c header hashes.
+  PredisBlock block;
+  block.prev_heights.assign(kProposalNodes, 0);
+  block.cut_heights.assign(kProposalNodes, s.txs / 50 / kProposalNodes + 1);
+  block.header_hashes.assign(kProposalNodes, kZeroHash);
+  s.predis_block = block.wire_size();
+  // Id-list proposals carry one (id + certificate) per microblock; the
+  // certificate holds n_c − f acks (Narwhal) or f + 1 (Stratus).
+  const std::vector<consensus::narwhal::MicroblockRef> refs(s.txs / 50);
+  s.narwhal_id_list =
+      consensus::narwhal::IdListPayload(refs, kProposalNodes - f).wire_size();
+  s.stratus_id_list =
+      consensus::narwhal::IdListPayload(refs, f + 1).wire_size();
+  return s;
+}
+
+void print_json(const ProposalSizes&, const ProposalSizes& s) {
+  std::printf("\"nodes\":%zu,\"txs\":%zu,\"predis_block_bytes\":%zu,"
+              "\"narwhal_id_list_bytes\":%zu,\"stratus_id_list_bytes\":%zu",
+              kProposalNodes, s.txs, s.predis_block, s.narwhal_id_list,
+              s.stratus_id_list);
+}
+
+bool ok(const ProposalSizes&) { return true; }
+
+void print_row(const std::string& series, const ProposalSizes&,
+               const ProposalSizes& s) {
+  std::printf("%-26s txs=%-6zu predis_block=%5zuB narwhal_id_list=%8zuB "
+              "stratus_id_list=%8zuB\n",
+              series.c_str(), s.txs, s.predis_block, s.narwhal_id_list,
+              s.stratus_id_list);
+}
+
+/// The settings every cluster run shares: f = ⌊(n − 1)/3⌋, at least
+/// eight clients and one per node, 12 s measured after 4 s of warm-up.
+core::ClusterConfig cluster(Protocol protocol, std::size_t n, bool wan,
+                            double load) {
+  core::ClusterConfig cfg;
+  cfg.protocol = protocol;
+  cfg.n_consensus = n;
+  cfg.f = (n - 1) / 3;
+  cfg.wan = wan;
+  cfg.offered_load_tps = load;
+  cfg.n_clients = std::max<std::size_t>(8, n);
+  cfg.duration = seconds(12);
+  cfg.warmup = seconds(4);
+  return cfg;
+}
+
 int run_cluster_cmd(const Args& args) {
   const auto protocol = core::parse_protocol(args.get("protocol", "p-pbft"));
-  if (!protocol) {
-    std::fprintf(stderr, "unknown --protocol\n");
-    return usage();
-  }
-  core::ClusterConfig cfg;
-  cfg.protocol = *protocol;
-  cfg.n_consensus = static_cast<std::size_t>(args.num("nodes", 4));
-  cfg.f = (cfg.n_consensus - 1) / 3;
-  cfg.wan = args.flag("wan");
-  cfg.offered_load_tps = args.num("load", 8000);
-  cfg.n_clients = std::max<std::size_t>(8, cfg.n_consensus);
-  cfg.batch_size = static_cast<std::size_t>(args.num("batch", 800));
-  cfg.bundle_size = static_cast<std::size_t>(args.num("bundle", 50));
+  if (!protocol) args.fail("unknown --protocol");
+  core::ClusterConfig cfg = cluster(*protocol, count(args, "nodes", 4),
+                                    args.flag("wan"), args.num("load", 8000));
+  cfg.batch_size = count(args, "batch", 800);
+  cfg.bundle_size = count(args, "bundle", 50);
   cfg.duration = seconds(static_cast<std::int64_t>(args.num("duration", 12)));
   cfg.warmup = cfg.duration / 3;
   cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
   cfg.n_faulty = static_cast<std::size_t>(args.num("faulty", 0));
   const std::string fault = args.get("fault", "silent");
+  if (fault != "silent" && fault != "withhold") {
+    args.fail("unknown --fault " + fault);
+  }
   cfg.fault_mode = fault == "withhold"
                        ? consensus::predis::FaultMode::kPartialDissemination
                        : consensus::predis::FaultMode::kSilent;
@@ -71,26 +263,11 @@ int run_cluster_cmd(const Args& args) {
     cfg.fault_mode = consensus::predis::FaultMode::kNone;
   }
 
-  const core::ClusterResult r = core::run_cluster(cfg);
+  const core::ClusterResult r = run(cfg);
   if (args.flag("json")) {
-    std::printf(
-        "{\"protocol\":\"%s\",\"nodes\":%zu,\"wan\":%s,"
-        "\"offered_tps\":%.0f,\"throughput_tps\":%.1f,"
-        "\"avg_latency_ms\":%s,\"p50_latency_ms\":%s,"
-        "\"p99_latency_ms\":%s,\"committed_txs\":%llu,"
-        "\"blocks\":%zu,\"consistent\":%s,\"ledgers_consistent\":%s,"
-        "\"consensus_uplink_mbps\":%.2f,\"shed_uplink_txs\":%llu,"
-        "\"shed_unconfirmed_txs\":%llu}\n",
-        core::to_string(cfg.protocol), cfg.n_consensus,
-        cfg.wan ? "true" : "false", cfg.offered_load_tps, r.throughput_tps,
-        json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
-        json_ms(r.p50_latency_ms, r.latency_samples, 2).c_str(),
-        json_ms(r.p99_latency_ms, r.latency_samples, 2).c_str(),
-        static_cast<unsigned long long>(r.committed_txs), r.commit_events,
-        r.consistent ? "true" : "false",
-        r.ledgers_consistent ? "true" : "false", r.consensus_uplink_mbps,
-        static_cast<unsigned long long>(r.shed_uplink_txs),
-        static_cast<unsigned long long>(r.shed_unconfirmed_txs));
+    std::putchar('{');
+    print_json(cfg, r);
+    std::puts("}");
   } else {
     std::printf("protocol      : %s (%zu nodes, %s)\n",
                 core::to_string(cfg.protocol), cfg.n_consensus,
@@ -115,37 +292,26 @@ int run_cluster_cmd(const Args& args) {
                 r.consistent ? "consistent" : "INCONSISTENT",
                 r.ledgers_consistent ? "consistent" : "INCONSISTENT");
   }
-  return (r.consistent && r.ledgers_consistent) ? 0 : 1;
+  return ok(r) ? 0 : 1;
 }
 
 int run_distribution_cmd(const Args& args) {
   multizone::ThroughputConfig cfg;
-  cfg.topology = args.get("topology", "multi-zone") == "star"
-                     ? multizone::Topology::kStar
-                     : multizone::Topology::kMultiZone;
-  cfg.n_consensus = static_cast<std::size_t>(args.num("nodes", 4));
+  cfg.topology = topology(args, {Topology::kStar, Topology::kMultiZone});
+  cfg.n_consensus = count(args, "nodes", 4);
   cfg.f = (cfg.n_consensus - 1) / 3;
-  cfg.n_full = static_cast<std::size_t>(args.num("full-nodes", 24));
-  cfg.n_zones = static_cast<std::size_t>(args.num("zones", 3));
+  cfg.n_full = count(args, "full-nodes", 24);
+  cfg.n_zones = count(args, "zones", 3);
   cfg.offered_load_tps = args.num("load", 9000);
   cfg.duration = seconds(static_cast<std::int64_t>(args.num("duration", 12)));
   cfg.warmup = cfg.duration / 2;
   cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
 
-  const multizone::ThroughputResult r =
-      multizone::run_distribution_cluster(cfg);
+  const multizone::ThroughputResult r = run(cfg);
   if (args.flag("json")) {
-    std::printf(
-        "{\"topology\":\"%s\",\"full_nodes\":%zu,\"zones\":%zu,"
-        "\"throughput_tps\":%.1f,\"avg_latency_ms\":%s,"
-        "\"coverage\":%.3f,\"relayers\":%zu,\"uplink_mbps\":%.2f,"
-        "\"consistent\":%s}\n",
-        multizone::to_string(cfg.topology), cfg.n_full, cfg.n_zones,
-        r.throughput_tps,
-        json_ms(r.avg_latency_ms, r.latency_samples, 2).c_str(),
-        r.full_node_coverage,
-        r.relayers_seen, r.consensus_uplink_mbps,
-        r.consistent ? "true" : "false");
+    std::putchar('{');
+    print_json(cfg, r);
+    std::puts("}");
   } else {
     std::printf("topology      : %s (%zu full nodes, %zu zones)\n",
                 multizone::to_string(cfg.topology), cfg.n_full, cfg.n_zones);
@@ -157,33 +323,25 @@ int run_distribution_cmd(const Args& args) {
     std::printf("safety        : %s\n",
                 r.consistent ? "consistent" : "INCONSISTENT");
   }
-  return r.consistent ? 0 : 1;
+  return ok(r) ? 0 : 1;
 }
 
 int run_propagation_cmd(const Args& args) {
   multizone::PropagationConfig cfg;
-  const std::string topo = args.get("topology", "multi-zone");
-  cfg.topology = topo == "star"     ? multizone::Topology::kStar
-                 : topo == "random" ? multizone::Topology::kRandom
-                                    : multizone::Topology::kMultiZone;
-  cfg.n_consensus = static_cast<std::size_t>(args.num("nodes", 8));
+  cfg.topology = topology(
+      args, {Topology::kStar, Topology::kRandom, Topology::kMultiZone});
+  cfg.n_consensus = count(args, "nodes", 8);
   cfg.f = (cfg.n_consensus - 1) / 3;
-  cfg.n_full = static_cast<std::size_t>(args.num("full-nodes", 100));
-  cfg.n_zones = static_cast<std::size_t>(args.num("zones", 3));
-  cfg.block_bytes =
-      static_cast<std::size_t>(args.num("block-mb", 5)) << 20;
-  cfg.n_blocks = static_cast<std::size_t>(args.num("blocks", 3));
+  cfg.n_full = count(args, "full-nodes", 100);
+  cfg.n_zones = count(args, "zones", 3);
+  cfg.block_bytes = count(args, "block-mb", 5) << 20;
+  cfg.n_blocks = count(args, "blocks", 3);
   cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
 
-  const multizone::PropagationResult r = multizone::run_propagation(cfg);
+  const multizone::PropagationResult r = run(cfg);
   if (args.flag("json")) {
-    std::printf("{\"topology\":\"%s\",\"block_mb\":%.0f,\"coverage\":%.3f",
-                multizone::to_string(cfg.topology),
-                static_cast<double>(cfg.block_bytes) / (1 << 20),
-                r.full_coverage_fraction);
-    for (const auto& [frac, ms] : r.latency_ms_at_fraction) {
-      std::printf(",\"latency_ms_p%.0f\":%.1f", frac * 100, ms);
-    }
+    std::putchar('{');
+    print_json(cfg, r);
     std::puts("}");
   } else {
     std::printf("topology      : %s, %zu full nodes, %.0f MB blocks\n",
@@ -196,6 +354,245 @@ int run_propagation_cmd(const Args& args) {
     std::printf("coverage      : %.0f%%\n", r.full_coverage_fraction * 100);
   }
   return 0;
+}
+
+// `paper`: the evaluation of §V, one preset table per figure. The
+// reproduction target is each figure's shape (EXPERIMENTS.md).
+
+struct Row {
+  std::string series;
+  std::variant<core::ClusterConfig, multizone::ThroughputConfig,
+               multizone::PropagationConfig, ProposalSizes>
+      config;
+};
+
+struct Figure {
+  const char* name;
+  const char* title;
+  std::vector<Row> rows;
+};
+
+/// Fig. 4: Predis on top of PBFT and HotStuff (WAN). The baselines
+/// saturate near 5 k tx/s, so they sweep lighter loads than Predis,
+/// which is driven to 24 k.
+Figure fig4() {
+  Figure fig{"fig4", "Fig 4: PBFT/HotStuff vs P-PBFT/P-HS (WAN)", {}};
+  const auto sweep = [&fig](const std::string& series, Protocol p,
+                            std::size_t n, std::size_t batch,
+                            std::size_t bundle) {
+    for (const double load :
+         p == Protocol::kPbft || p == Protocol::kHotStuff
+             ? std::vector<double>{1000, 2000, 4000, 6000, 8000, 12000}
+             : std::vector<double>{2000, 6000, 12000, 18000, 24000}) {
+      core::ClusterConfig cfg = cluster(p, n, true, load);
+      cfg.batch_size = batch;
+      cfg.bundle_size = bundle;
+      fig.rows.push_back({series, cfg});
+    }
+  };
+  for (const auto& [ab, cd, base, predis] :
+       {std::tuple{"(a) ", "(c) ", Protocol::kPbft, Protocol::kPredisPbft},
+        std::tuple{"(b) ", "(d) ", Protocol::kHotStuff,
+                   Protocol::kPredisHotStuff}}) {
+    const std::string base_name = core::to_string(base);
+    const std::string predis_name = core::to_string(predis);
+    // (a)/(b): parameter variants at n_c = 4.
+    for (const std::size_t batch : {400u, 800u}) {
+      sweep(ab + base_name + " batch=" + std::to_string(batch), base, 4,
+            batch, 50);
+    }
+    for (const std::size_t bundle : {25u, 50u, 100u}) {
+      sweep(ab + predis_name + " bundle=" + std::to_string(bundle), predis,
+            4, 800, bundle);
+    }
+    // (c)/(d): scaling n_c at batch 800, bundle 50.
+    for (const std::size_t n : {4u, 8u, 16u}) {
+      sweep(cd + base_name, base, n, 800, 50);
+      sweep(cd + predis_name, predis, n, 800, 50);
+    }
+  }
+  return fig;
+}
+
+/// Fig. 5: Predis (P-HS) against Narwhal and Stratus, n_c = 4, one
+/// worker with 50-tx microblocks each, WAN then LAN; 24 k is past
+/// every protocol's knee. Then §V-A's proposal sizes.
+Figure fig5() {
+  Figure fig{"fig5", "Fig 5: Predis vs Narwhal vs Stratus (n_c = 4)", {}};
+  for (const bool wan : {true, false}) {
+    for (const Protocol p : {Protocol::kPredisHotStuff, Protocol::kNarwhal,
+                             Protocol::kStratus}) {
+      for (const double load : {6000, 12000, 18000, 24000}) {
+        fig.rows.push_back({p == Protocol::kPredisHotStuff
+                                ? "Predis"
+                                : core::to_string(p),
+                            cluster(p, 4, wan, load)});
+      }
+    }
+  }
+  for (const std::size_t txs : {2'500u, 10'000u, 25'000u, 50'000u}) {
+    fig.rows.push_back({"proposal size", ProposalSizes{txs}});
+  }
+  return fig;
+}
+
+/// Fig. 6: P-PBFT with f' faulty nodes of 8 (WAN). 12 k tx/s is below
+/// the 8-node knee (Fig. 4(c) carries 18 k), so case 1 loses the silent
+/// producers' share of the bundles rather than queueing.
+Figure fig6() {
+  const auto faulty = [](std::size_t n, FaultMode mode) {
+    core::ClusterConfig cfg = cluster(Protocol::kPredisPbft, 8, true, 12'000);
+    cfg.duration = seconds(14);
+    cfg.warmup = seconds(5);
+    cfg.n_faulty = n;
+    cfg.fault_mode = mode;
+    return cfg;
+  };
+  Figure fig{"fig6", "Fig 6: P-PBFT under faults (8 nodes, WAN, 12k tx/s)",
+             {{"normal", faulty(0, FaultMode::kNone)}}};
+  for (const std::size_t n : {1u, 2u}) {
+    const std::string suffix = " faulty=" + std::to_string(n);
+    fig.rows.push_back(
+        {"case1-silent" + suffix, faulty(n, FaultMode::kSilent)});
+    fig.rows.push_back({"case2-withhold" + suffix,
+                        faulty(n, FaultMode::kPartialDissemination)});
+  }
+  return fig;
+}
+
+/// Fig. 7: consensus throughput as full nodes grow, star vs Multi-Zone
+/// (LAN). The paper offers a fixed 26 k tx/s, just above its testbed's
+/// saturation; our Multi-Zone capacity is ~8 k tx/s at n_c = 4, so 9 k
+/// is the same "just above capacity" point (deeper overload only adds
+/// pull-traffic noise). A zone seats n_c relayers, so every Multi-Zone
+/// row keeps full nodes >= zones x n_c.
+Figure fig7() {
+  Figure fig{"fig7", "Fig 7: star vs Multi-Zone throughput (9k tx/s)", {}};
+  const auto row = [&fig](Topology topology, std::size_t n,
+                          std::size_t zones,
+                          std::initializer_list<std::size_t> fulls) {
+    for (const std::size_t full : fulls) {
+      multizone::ThroughputConfig cfg;
+      cfg.topology = topology;
+      cfg.n_consensus = n;
+      cfg.f = (n - 1) / 3;
+      cfg.n_full = full;
+      cfg.n_zones = zones;
+      cfg.offered_load_tps = 9'000;
+      fig.rows.push_back({std::string(multizone::to_string(topology)) +
+                              " n_c=" + std::to_string(n),
+                          cfg});
+    }
+  };
+  row(Topology::kStar, 4, 1, {12, 24, 36, 48});
+  row(Topology::kStar, 8, 1, {12, 24, 36, 48});
+  row(Topology::kMultiZone, 4, 3, {12, 24, 36, 48});
+  row(Topology::kMultiZone, 8, 3, {24, 36, 48});
+  row(Topology::kMultiZone, 4, 12, {48, 60});
+  return fig;
+}
+
+/// Fig. 8: time for a block to reach X% of 100 full nodes, 8 consensus
+/// nodes (LAN; PropagationConfig's defaults are the paper's settings).
+/// 256 KB bundles keep 40 MB blocks at a tractable event count without
+/// changing the bytes that flow.
+Figure fig8() {
+  Figure fig{"fig8", "Fig 8: block propagation (8 + 100 nodes, LAN)", {}};
+  for (const std::size_t mb : {1u, 5u, 10u, 20u, 40u}) {
+    for (const auto& [series, topology, zones] :
+         {std::tuple{"star", Topology::kStar, 1u},
+          std::tuple{"random(FEG)", Topology::kRandom, 1u},
+          std::tuple{"multizone-3", Topology::kMultiZone, 3u},
+          std::tuple{"multizone-12", Topology::kMultiZone, 12u}}) {
+      multizone::PropagationConfig cfg;
+      cfg.topology = topology;
+      cfg.n_zones = zones;
+      cfg.block_bytes = mb << 20;
+      cfg.bundle_bytes = 256 << 10;
+      cfg.n_blocks = 3;
+      fig.rows.push_back({series, cfg});
+    }
+  }
+  return fig;
+}
+
+/// Ablations beyond the paper, n_c = 4, WAN: P-PBFT's cutting-rule
+/// quorum and bundle size x production interval at 10 k tx/s (below its
+/// knee), and baseline PBFT's pipelining window at 6 k tx/s (just above
+/// the serialized baseline's knee).
+Figure ablation() {
+  Figure fig{"ablation", "Ablations: cutting rule, PBFT window, bundles", {}};
+  for (const auto& [name, cut_f] :
+       {std::pair<const char*, std::size_t>{"cut: paper (n-f fastest)",
+                                            static_cast<std::size_t>(-1)},
+        {"cut: all nodes (f_cut=0)", 0},
+        {"cut: leader-only (f_cut=3)", 3}}) {
+    core::ClusterConfig cfg = cluster(Protocol::kPredisPbft, 4, true, 10'000);
+    cfg.cut_f_override = cut_f;
+    fig.rows.push_back({name, cfg});
+  }
+  for (const SeqNum window : {1u, 2u, 4u, 8u}) {
+    core::ClusterConfig cfg = cluster(Protocol::kPbft, 4, true, 6'000);
+    cfg.pbft_pipeline_window = window;
+    fig.rows.push_back({"pbft window=" + std::to_string(window), cfg});
+  }
+  for (const std::size_t bundle : {25u, 50u, 100u, 200u}) {
+    for (const int interval_ms : {10, 25, 100}) {
+      core::ClusterConfig cfg = cluster(Protocol::kPredisPbft, 4, true, 10'000);
+      cfg.bundle_size = bundle;
+      cfg.bundle_interval = milliseconds(interval_ms);
+      fig.rows.push_back({"bundle=" + std::to_string(bundle) + " interval=" +
+                              std::to_string(interval_ms) + "ms",
+                          cfg});
+    }
+  }
+  return fig;
+}
+
+int run_paper_cmd(const Args& args) {
+  std::vector<Figure> figures = {fig4(), fig5(), fig6(),
+                                 fig7(), fig8(), ablation()};
+  if (args.flag("figure")) {
+    const std::string only = args.get("figure", "");
+    std::erase_if(figures, [&](const Figure& f) { return f.name != only; });
+    if (figures.empty()) args.fail("unknown --figure " + only);
+  }
+  const bool json = args.flag("json");
+  bool consistent = true;
+  if (json) {
+    std::printf("{\"schema\": \"predis-paper/1\", \"tool\": \"predis-sim "
+                "paper\", \"figures\": {");
+  }
+  for (const Figure& fig : figures) {
+    if (json) {
+      std::printf("%s\n\"%s\": [", &fig == &figures.front() ? "" : ",",
+                  fig.name);
+    } else {
+      std::printf("%s=== %s ===\n", &fig == &figures.front() ? "" : "\n",
+                  fig.title);
+    }
+    for (const Row& row : fig.rows) {
+      std::visit(
+          [&](const auto& cfg) {
+            const auto r = run(cfg);
+            consistent = ok(r) && consistent;
+            if (json) {
+              std::printf("%s\n {\"series\":\"%s\",",
+                          &row == &fig.rows.front() ? "" : ",",
+                          row.series.c_str());
+              print_json(cfg, r);
+              std::putchar('}');
+            } else {
+              print_row(row.series, cfg, r);
+            }
+          },
+          row.config);
+      std::fflush(stdout);
+    }
+    if (json) std::printf("\n]");
+  }
+  if (json) std::puts("\n}}");
+  return consistent ? 0 : 1;
 }
 
 }  // namespace
@@ -223,6 +620,10 @@ int main(int argc, char** argv) {
         {"topology=", "nodes=", "full-nodes=", "zones=", "block-mb=",
          "blocks=", "seed=", "json"},
         kUsage));
+  }
+  if (command == "paper") {
+    return run_paper_cmd(
+        tools::parse_args(argc, argv, 2, {"figure=", "json"}, kUsage));
   }
   return usage();
 }

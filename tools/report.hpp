@@ -2,6 +2,7 @@
 // writer behind the BENCH_*.json reports, and checked report output.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,15 +20,31 @@ namespace predis::tools {
 struct Args {
   std::map<std::string, std::string> named;
   std::vector<std::string> paths;
+  const char* usage = "";
 
   bool flag(const std::string& name) const { return named.count(name) != 0; }
   std::string get(const std::string& name, const std::string& fallback) const {
     const auto it = named.find(name);
     return it == named.end() ? fallback : it->second;
   }
+  /// The value of `--name`, or `fallback` when it was not given. A
+  /// value that is not wholly a finite number fails, so "--nodes abc"
+  /// never runs as 0 nodes.
   double num(const std::string& name, double fallback) const {
     const auto it = named.find(name);
-    return it == named.end() ? fallback : std::atof(it->second.c_str());
+    if (it == named.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value)) {
+      fail("bad value for --" + name + ": " + it->second);
+    }
+    return value;
+  }
+  /// Prints `why` and the usage to stderr and exits 2.
+  [[noreturn]] void fail(const std::string& why) const {
+    std::fprintf(stderr, "%s\n\n%s", why.c_str(), usage);
+    std::exit(2);
   }
 };
 
@@ -41,11 +58,8 @@ struct Args {
 inline Args parse_args(int argc, char** argv, int first,
                        std::initializer_list<const char*> options,
                        const char* usage, bool takes_paths = false) {
-  const auto fail = [usage](const std::string& why) {
-    std::fprintf(stderr, "%s\n\n%s", why.c_str(), usage);
-    std::exit(2);
-  };
   Args args;
+  args.usage = usage;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-h" || arg == "--help") {
@@ -54,7 +68,7 @@ inline Args parse_args(int argc, char** argv, int first,
     }
     if (arg.rfind("--", 0) != 0) {
       if (!takes_paths || arg.rfind('-', 0) == 0) {
-        fail("unexpected argument: " + arg);
+        args.fail("unexpected argument: " + arg);
       }
       args.paths.push_back(arg);
       continue;
@@ -67,18 +81,18 @@ inline Args parse_args(int argc, char** argv, int first,
       known = takes_value || option == name;
       if (known) break;
     }
-    if (!known) fail("unknown option: " + arg);
+    if (!known) args.fail("unknown option: " + arg);
     if (!takes_value) {
       args.named[name] = "1";
     } else if (i + 1 < argc) {
       args.named[name] = argv[++i];
     } else {
-      fail("missing value for " + arg);
+      args.fail("missing value for " + arg);
     }
   }
   if (args.flag("out-dir") &&
       !std::filesystem::is_directory(args.get("out-dir", ""))) {
-    fail("--out-dir " + args.get("out-dir", "") + " is not a directory");
+    args.fail("--out-dir " + args.get("out-dir", "") + " is not a directory");
   }
   return args;
 }
