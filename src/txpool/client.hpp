@@ -9,8 +9,11 @@
 // the shared Metrics.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -47,7 +50,13 @@ struct ClientConfig {
 class ClientActor final : public runtime::Actor {
  public:
   ClientActor(runtime::Runtime& net, const ClientConfig& config, Metrics& metrics)
-      : net_(net), cfg_(config), metrics_(metrics), rng_(config.seed) {}
+      : net_(net), cfg_(config), metrics_(metrics), rng_(config.seed) {
+    // emit_batch() casts rate × interval to a count.
+    if (!std::isfinite(cfg_.tx_per_second) || cfg_.tx_per_second < 0.0) {
+      throw std::invalid_argument(
+          "ClientActor: tx_per_second must be finite and non-negative");
+    }
+  }
 
   void on_start() override {
     const SimTime now = net_.now();
@@ -68,19 +77,27 @@ class ClientActor final : public runtime::Actor {
     const SimTime now = net_.now();
     latency_batch_.clear();
     for (TxSeq seq : reply->seqs) {
-      auto it = pending_.find(seq);
-      if (it == pending_.end()) continue;  // duplicate reply
-      if (it->second.submitted_at >= cfg_.record_from) {
-        latency_batch_.push_back(now - it->second.submitted_at);
+      auto it = std::lower_bound(
+          pending_.begin(), pending_.end(), seq,
+          [](const Pending& p, TxSeq s) { return p.seq < s; });
+      // Unknown, duplicate, or answered and already compacted away.
+      if (it == pending_.end() || it->seq != seq || it->done) continue;
+      if (it->submitted_at >= cfg_.record_from) {
+        latency_batch_.push_back(now - it->submitted_at);
       }
-      pending_.erase(it);
+      it->done = true;
+      --live_;
     }
     if (!latency_batch_.empty()) metrics_.record_latencies(latency_batch_);
+    // Each compaction removes more entries than it keeps, so it costs
+    // O(1) amortized per transaction and the table stays ≤ 2× live.
+    if (pending_.size() - live_ > live_) {
+      std::erase_if(pending_, [](const Pending& p) { return p.done; });
+    }
   }
 
   NodeId id() const { return cfg_.self; }
-  std::size_t unacked() const { return pending_.size(); }
-  TxSeq submitted() const { return next_seq_; }
+  std::size_t unacked() const { return live_; }
   std::uint64_t resubmissions() const { return resubmissions_; }
 
  private:
@@ -102,15 +119,10 @@ class ClientActor final : public runtime::Actor {
     msg->txs.reserve(count);
     const SimTime now = net_.now();
     for (std::size_t i = 0; i < count; ++i) {
-      Transaction tx;
-      tx.client = cfg_.self;
-      tx.seq = next_seq_++;
-      tx.size = cfg_.tx_size;
-      tx.submitted_at = now;
-      tx.payload_seed = rng_.next();
-      pending_.emplace(tx.seq, Pending{now, tx, 0});
-      msg->txs.push_back(tx);
+      pending_.push_back(Pending{next_seq_++, now, rng_.next()});
+      msg->txs.push_back(transaction_of(pending_.back()));
     }
+    live_ += count;
     metrics_.record_submitted(count);
     for (NodeId target : cfg_.targets) {
       net_.send(cfg_.self, target, msg);
@@ -132,7 +144,8 @@ class ClientActor final : public runtime::Actor {
   void resubmit_overdue() {
     const SimTime now = net_.now();
     std::map<NodeId, std::vector<Transaction>> per_target;
-    for (auto& [seq, entry] : pending_) {
+    for (Pending& entry : pending_) {
+      if (entry.done) continue;
       const SimTime age = now - entry.submitted_at;
       if (age < cfg_.resubmit_timeout *
                     static_cast<SimTime>(entry.attempts + 1)) {
@@ -141,9 +154,9 @@ class ClientActor final : public runtime::Actor {
       if (entry.attempts + 1 >= cfg_.all_consensus.size()) continue;
       ++entry.attempts;
       const NodeId target =
-          cfg_.all_consensus[(seq + entry.attempts) %
+          cfg_.all_consensus[(entry.seq + entry.attempts) %
                              cfg_.all_consensus.size()];
-      per_target[target].push_back(entry.tx);
+      per_target[target].push_back(transaction_of(entry));
     }
     for (auto& [target, txs] : per_target) {
       resubmissions_ += txs.size();
@@ -153,11 +166,28 @@ class ClientActor final : public runtime::Actor {
     }
   }
 
+  /// One transaction this client sent: the fields of its Transaction
+  /// that are not the same for every transaction of the client.
   struct Pending {
+    TxSeq seq = 0;
     SimTime submitted_at = 0;
-    Transaction tx;
-    std::size_t attempts = 0;
+    std::uint64_t payload_seed = 0;
+    std::uint32_t attempts = 0;
+    bool done = false;  ///< Answered; removed at the next compaction.
   };
+  static_assert(sizeof(Pending) == 32);
+
+  /// The transaction `p` was sent as; resubmission sends it again
+  /// unchanged, so its id() is the same.
+  Transaction transaction_of(const Pending& p) const {
+    Transaction tx;
+    tx.client = cfg_.self;
+    tx.size = cfg_.tx_size;
+    tx.seq = p.seq;
+    tx.submitted_at = p.submitted_at;
+    tx.payload_seed = p.payload_seed;
+    return tx;
+  }
 
   runtime::Runtime& net_;
   ClientConfig cfg_;
@@ -166,9 +196,12 @@ class ClientActor final : public runtime::Actor {
   TxSeq next_seq_ = 0;
   double carry_ = 0.0;
   std::uint64_t resubmissions_ = 0;
-  // resubmit_overdue() iterates this and the resulting batches go on
-  // the wire: keep the walk in ascending-seq order (D1).
-  std::map<TxSeq, Pending> pending_;
+  // Every sent transaction not yet compacted away, in ascending seq
+  // order (appended as seqs are issued). resubmit_overdue() walks it
+  // and the resulting batches go on the wire, so that order is
+  // protocol-visible (D1).
+  std::vector<Pending> pending_;
+  std::size_t live_ = 0;  ///< Entries of pending_ not yet answered.
   // One reply's latencies, handed to Metrics under a single lock; kept
   // as a member so its capacity is reused across replies.
   std::vector<SimTime> latency_batch_;

@@ -20,10 +20,14 @@
 
 namespace predis {
 
+// Fields are laid out for size (40 bytes, no padding between the two
+// 32-bit and the three 64-bit fields), not in wire order: encode(),
+// decode() and tx_ids name each field, so the layout never reaches the
+// wire or an id.
 struct Transaction {
   NodeId client = kNoNode;  ///< Submitting client (reply address).
-  TxSeq seq = 0;            ///< Client-local sequence number.
   std::uint32_t size = 512; ///< Simulated payload size in bytes.
+  TxSeq seq = 0;            ///< Client-local sequence number.
   SimTime submitted_at = 0; ///< Client submission time (latency anchor).
   std::uint64_t payload_seed = 0;  ///< Stands in for payload content.
   /// §IV-D second dissemination strategy: the client writes the index
@@ -58,6 +62,8 @@ struct Transaction {
 
   bool operator==(const Transaction&) const = default;
 };
+static_assert(sizeof(Transaction) == 40,
+              "every mempool, bundle and block holds Transactions by value");
 
 /// Ids of `n` transactions: out[i] = txs[i].id(). Each encode() is
 /// written little-endian straight into a pre-padded one-block SHA-256

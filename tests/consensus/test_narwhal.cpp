@@ -38,8 +38,7 @@ TEST(Stratus, CommitsWithPabQuorum) {
 
 TEST(SharedMempool, NoTransactionCommittedTwice) {
   TestCluster cluster(shared_mempool(core::Protocol::kNarwhal));
-  auto* client =
-      cluster.add_client(cluster.consensus_ids(), 300, seconds(2), 5);
+  cluster.add_client(cluster.consensus_ids(), 300, seconds(2), 5);
   cluster.net().start();
   cluster.net().run_until(seconds(3));
   // The client broadcast to all nodes; each node packs its own copy of
@@ -47,7 +46,8 @@ TEST(SharedMempool, NoTransactionCommittedTwice) {
   // commits may exceed submissions (microblocks are not deduplicated
   // across producers, exactly the Byzantine-client issue §III-E notes).
   // What must hold: every submitted tx got exactly one reply.
-  EXPECT_EQ(cluster.metrics.latencies().count(), client->submitted());
+  EXPECT_EQ(cluster.metrics.latencies().count(),
+            cluster.metrics.submitted_txs());
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 

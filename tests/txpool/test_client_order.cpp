@@ -1,14 +1,16 @@
 // Regression (predis-lint D1): ClientActor::resubmit_overdue() walks
 // pending_ and the resulting batches go straight on the wire, so the
-// container's iteration order is protocol-visible. pending_ used to be
-// an unordered_map — with a few hundred outstanding transactions the
-// bucket walk emits seqs out of order, and the emitted byte stream
-// (hence the trace digest) depends on the stdlib's hash layout instead
-// of the seed. pending_ is now a std::map; resubmitted batches must
-// arrive in strictly ascending seq order.
+// container's iteration order is protocol-visible: with an unordered
+// container the emitted byte stream (hence the trace digest) would
+// depend on the stdlib's hash layout instead of the seed. Resubmitted
+// batches must arrive in strictly ascending seq order, and each
+// resubmitted transaction must be the one first sent, field by field,
+// so its id() is unchanged.
 #include "txpool/client.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "runtime/environments.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -16,21 +18,13 @@
 namespace predis {
 namespace {
 
-/// Swallows everything: the censoring primary target.
-struct BlackHole final : runtime::Actor {
-  void on_message(NodeId, const runtime::MsgPtr&) override {}
-};
-
-/// Records the seq order of every ClientRequest batch it receives.
+/// Records every ClientRequest batch it receives and never replies:
+/// the censoring primary target, and the node the rotation reaches.
 struct Recorder final : runtime::Actor {
-  std::vector<std::vector<TxSeq>> batches;
+  std::vector<std::vector<Transaction>> batches;
   void on_message(NodeId, const runtime::MsgPtr& msg) override {
     const auto* m = dynamic_cast<const ClientRequestMsg*>(msg.get());
-    if (m == nullptr) return;
-    std::vector<TxSeq> seqs;
-    seqs.reserve(m->txs.size());
-    for (const auto& tx : m->txs) seqs.push_back(tx.seq);
-    batches.push_back(std::move(seqs));
+    if (m != nullptr) batches.push_back(m->txs);
   }
 };
 
@@ -40,7 +34,7 @@ TEST(ClientResubmitOrder, BatchesEmitSeqsInAscendingOrder) {
   runtime::Runtime& net = backend.runtime();
   Metrics metrics;
 
-  BlackHole hole;
+  Recorder hole;
   const NodeId hole_id = net.add_node(runtime::node_100mbps(0));
   net.attach(hole_id, &hole);
   Recorder recorder;
@@ -69,11 +63,30 @@ TEST(ClientResubmitOrder, BatchesEmitSeqsInAscendingOrder) {
   for (const auto& batch : recorder.batches) {
     largest = std::max(largest, batch.size());
     for (std::size_t i = 1; i < batch.size(); ++i) {
-      ASSERT_LT(batch[i - 1], batch[i])
+      ASSERT_LT(batch[i - 1].seq, batch[i].seq)
           << "batch seqs out of order at position " << i;
     }
   }
   EXPECT_GE(largest, 50u);
+
+  std::map<TxSeq, Transaction> first_sent;
+  for (const auto& batch : hole.batches) {
+    for (const auto& tx : batch) first_sent.emplace(tx.seq, tx);
+  }
+  for (const auto& batch : recorder.batches) {
+    for (const auto& tx : batch) {
+      const auto it = first_sent.find(tx.seq);
+      ASSERT_NE(it, first_sent.end()) << "seq " << tx.seq;
+      const Transaction& sent = it->second;
+      EXPECT_EQ(tx.client, sent.client);
+      EXPECT_EQ(tx.size, sent.size);
+      EXPECT_EQ(tx.seq, sent.seq);
+      EXPECT_EQ(tx.submitted_at, sent.submitted_at);
+      EXPECT_EQ(tx.payload_seed, sent.payload_seed);
+      EXPECT_EQ(tx.target_consensus, sent.target_consensus);
+      EXPECT_EQ(tx.id(), sent.id());
+    }
+  }
 }
 
 }  // namespace

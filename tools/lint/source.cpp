@@ -99,7 +99,9 @@ SourceFile load_source(const std::string& path) {
       if (c == '"' && i > 0 && src[i - 1] == 'R') {
         const auto open = src.find('(', i + 1);
         if (open != std::string::npos) {
-          raw_end = ")" + src.substr(i + 1, open - i - 1) + "\"";
+          raw_end.assign(1, ')');
+          raw_end.append(src, i + 1, open - i - 1);
+          raw_end.push_back('"');
           i = open + 1;
           continue;
         }

@@ -66,6 +66,18 @@ std::size_t count(const Args& args, const std::string& name,
   return static_cast<std::size_t>(n);
 }
 
+/// --load in tx/s: a negative rate has no transaction count.
+double load(const Args& args, double fallback) {
+  const double tps = args.num("load", fallback);
+  if (tps < 0) args.fail("--load must not be negative");
+  return tps;
+}
+
+/// --duration in whole seconds: a shorter run measures nothing.
+SimTime duration(const Args& args) {
+  return seconds(static_cast<std::int64_t>(count(args, "duration", 12)));
+}
+
 Topology topology(const Args& args, std::initializer_list<Topology> known) {
   const std::string flag = args.get("topology", "multi-zone");
   for (const Topology t : known) {
@@ -245,13 +257,18 @@ int run_cluster_cmd(const Args& args) {
   const auto protocol = core::parse_protocol(args.get("protocol", "p-pbft"));
   if (!protocol) args.fail("unknown --protocol");
   core::ClusterConfig cfg = cluster(*protocol, count(args, "nodes", 4),
-                                    args.flag("wan"), args.num("load", 8000));
+                                    args.flag("wan"), load(args, 8000));
   cfg.batch_size = count(args, "batch", 800);
   cfg.bundle_size = count(args, "bundle", 50);
-  cfg.duration = seconds(static_cast<std::int64_t>(args.num("duration", 12)));
+  cfg.duration = duration(args);
   cfg.warmup = cfg.duration / 3;
   cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  cfg.n_faulty = static_cast<std::size_t>(args.num("faulty", 0));
+  const double faulty = args.num("faulty", 0);
+  if (faulty < 0 || faulty > static_cast<double>(cfg.f)) {
+    args.fail("--faulty must be in [0, f] with f = " + std::to_string(cfg.f) +
+              " for " + std::to_string(cfg.n_consensus) + " nodes");
+  }
+  cfg.n_faulty = static_cast<std::size_t>(faulty);
   const std::string fault = args.get("fault", "silent");
   if (fault != "silent" && fault != "withhold") {
     args.fail("unknown --fault " + fault);
@@ -302,8 +319,8 @@ int run_distribution_cmd(const Args& args) {
   cfg.f = (cfg.n_consensus - 1) / 3;
   cfg.n_full = count(args, "full-nodes", 24);
   cfg.n_zones = count(args, "zones", 3);
-  cfg.offered_load_tps = args.num("load", 9000);
-  cfg.duration = seconds(static_cast<std::int64_t>(args.num("duration", 12)));
+  cfg.offered_load_tps = load(args, 9000);
+  cfg.duration = duration(args);
   cfg.warmup = cfg.duration / 2;
   cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
 

@@ -83,7 +83,7 @@ inline Args parse_args(int argc, char** argv, int first,
     }
     if (!known) args.fail("unknown option: " + arg);
     if (!takes_value) {
-      args.named[name] = "1";
+      args.named[name].assign(1, '1');
     } else if (i + 1 < argc) {
       args.named[name] = argv[++i];
     } else {
