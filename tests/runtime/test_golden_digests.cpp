@@ -63,6 +63,30 @@ TEST(GoldenDigest, SmallZoneMatchesPinnedRun) {
   EXPECT_GT(r.throughput_tps, 0.0);
 }
 
+TEST(GoldenDigest, SmallZoneRealStripesMatchesPinnedRun) {
+  // The same run with real Reed-Solomon stripe bytes: every full node
+  // Merkle-verifies, stores and byte-decodes stripes, so this pins the
+  // stripe-state path the oracle-mode case above never enters.
+  multizone::ThroughputConfig cfg;
+  cfg.n_full = 6;
+  cfg.n_zones = 2;
+  cfg.offered_load_tps = 2000.0;
+  cfg.n_clients = 4;
+  cfg.duration = seconds(3);
+  cfg.warmup = seconds(1);
+  cfg.seed = 9;
+  cfg.real_stripe_payloads = true;
+  runtime::TraceHasher trace;
+  cfg.ctx.trace = &trace;
+  const multizone::ThroughputResult r =
+      multizone::run_distribution_cluster(cfg);
+
+  EXPECT_EQ(to_hex(trace.digest()),
+            "cdd7a701edf55340ccf7f4e33834a322106662360fdd614443c13caef22d87da");
+  EXPECT_EQ(trace.events(), 34259u);
+  EXPECT_GT(r.throughput_tps, 0.0);
+}
+
 // Fault-injected runs: `swarm --seeds 8 --protocol <p>` at the tool's
 // defaults (10 s, six fault events within the first third, equivocation
 // on). Crashes, partitions and drops drive every catch-up and fetch
