@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/bytes.hpp"
 
@@ -13,6 +14,17 @@ namespace predis {
 
 /// 32-byte digest.
 using Hash32 = std::array<std::uint8_t, 32>;
+
+/// Hasher for unordered containers keyed by a digest: a digest's bytes
+/// are already uniform, so its first word is the bucket hash.
+struct Hash32Hasher {
+  std::size_t operator()(const Hash32& h) const {
+    std::size_t v = 0;
+    static_assert(sizeof(v) <= sizeof(Hash32));
+    std::memcpy(&v, h.data(), sizeof(v));
+    return v;
+  }
+};
 
 /// Incremental SHA-256 context. Feed data with update(), finish with
 /// digest(). A context can hash arbitrarily large inputs in chunks.

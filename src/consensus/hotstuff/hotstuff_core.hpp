@@ -187,15 +187,6 @@ class HotStuffCore {
   void set_tracer(BlockTracer* tracer) { tracer_ = tracer; }
 
  private:
-  struct HashKey {
-    std::size_t operator()(const Hash32& h) const {
-      std::size_t v;
-      static_assert(sizeof(v) <= 32);
-      __builtin_memcpy(&v, h.data(), sizeof(v));
-      return v;
-    }
-  };
-
   const HsBlock* get_block(const Hash32& hash) const;
   void store_block(BlockPtr block);
   void try_flush_orphans();
@@ -227,7 +218,7 @@ class HotStuffCore {
   HotStuffApp& app_;
   BlockTracer* tracer_ = nullptr;
 
-  std::unordered_map<Hash32, BlockPtr, HashKey> blocks_;
+  std::unordered_map<Hash32, BlockPtr, Hash32Hasher> blocks_;
   // Deterministic round-ordered index over blocks_, so log GC walks
   // rounds in order instead of unordered-map iteration order.
   std::multimap<Round, Hash32> blocks_by_round_;

@@ -93,19 +93,13 @@ class ZoneDirectory {
     std::uint32_t zone = 0;
     SimTime join_time = 0;
   };
-  struct HashKey {
-    std::size_t operator()(const Hash32& h) const {
-      std::size_t v;
-      __builtin_memcpy(&v, h.data(), sizeof(v));
-      return v;
-    }
-  };
 
   std::vector<std::vector<NodeId>> zones_;
   std::map<NodeId, Info> info_;
   std::vector<NodeId> consensus_;
   mutable std::mutex store_m_;
-  std::unordered_map<Hash32, Bundle, HashKey> store_ PREDIS_GUARDED_BY(store_m_);
+  std::unordered_map<Hash32, Bundle, Hash32Hasher> store_
+      PREDIS_GUARDED_BY(store_m_);
 };
 
 struct MultiZoneConfig {

@@ -275,7 +275,7 @@ void MultiZoneFullNode::on_message(NodeId from, const runtime::MsgPtr& msg) {
     return;
   }
   if (const auto* m = dynamic_cast<const StripeMsg*>(msg.get())) {
-    on_stripe(from, *m);
+    on_stripe(msg, *m);
   } else if (const auto* m = dynamic_cast<const PredisBlockMsg*>(msg.get())) {
     on_predis_block(from, *m);
   } else if (const auto* m = dynamic_cast<const SubscribeMsg*>(msg.get())) {
@@ -501,7 +501,8 @@ void MultiZoneFullNode::on_relayer_alive(NodeId /*from*/,
   }
 }
 
-void MultiZoneFullNode::on_stripe(NodeId /*from*/, const StripeMsg& msg) {
+void MultiZoneFullNode::on_stripe(const runtime::MsgPtr& received,
+                                  const StripeMsg& msg) {
   if (msg.index >= cfg_.n_consensus) return;
 
   // Real-bytes mode: reject stripes that fail Merkle verification
@@ -523,40 +524,63 @@ void MultiZoneFullNode::on_stripe(NodeId /*from*/, const StripeMsg& msg) {
   last_stripe_at_[msg.index] = now();
   last_any_stripe_ = now();
   const Hash32 hash = msg.header.hash();
-  auto& state = stripes_[hash];
-  if (state.have.empty()) state.header = msg.header;
-  if (!state.have.insert(msg.index).second) return;  // duplicate
-  if (msg.payload) {
-    if (state.bodies.empty()) state.bodies.resize(cfg_.n_consensus);
-    state.bodies[msg.index] = msg.payload;
+  auto it = stripes_.find(hash);
+  if (it == stripes_.end()) {
+    // No record: either the first stripe of this bundle, or a late copy
+    // of one whose n_c stripes all arrived already.
+    const ChainEntry* entry = chain_entry(msg.header);
+    if (entry != nullptr && entry->stripes_done && entry->hash == hash) {
+      return;  // duplicate
+    }
+    it = stripes_.emplace(hash, StripeState{}).first;
+    it->second.partial =
+        std::make_unique<PartialBundle>(PartialBundle{msg.header, {}});
+  }
+  StripeState& state = it->second;
+  if (state.have.test(msg.index)) return;  // duplicate
+  state.have.set(msg.index);
+  if (msg.payload && state.partial) {
+    auto& bodies = state.partial->bodies;
+    if (bodies.empty()) bodies.resize(cfg_.n_consensus);
+    bodies[msg.index] = msg.payload;
   }
 
-  // Store-and-forward along the per-stripe multicast tree. The payload
-  // shared_ptr rides along unchanged — no byte copies per hop.
+  // Store-and-forward along the per-stripe multicast tree: the received
+  // message itself goes on, so no hop copies the header or the bytes.
   if (!subscribers_[msg.index].empty()) {
-    auto copy = std::make_shared<StripeMsg>(msg);
     paced_fanout({subscribers_[msg.index].begin(),
                   subscribers_[msg.index].end()},
-                 std::move(copy));
+                 received);
   }
 
-  if (!state.decoded && state.have.size() >= k()) {
-    if (!state.bodies.empty()) {
-      if (!try_byte_decode(state)) return;  // wait for more stripes
+  if (state.partial && state.have.count() >= k()) {
+    if (!state.partial->bodies.empty() && !try_byte_decode(*state.partial)) {
+      return;  // wait for more stripes
     }
-    state.decoded = true;
-    store_bundle_record(state.header);
+    const std::unique_ptr<PartialBundle> partial = std::move(state.partial);
+    store_bundle_record(partial->header);
+  }
+
+  // Decoded and complete: the chain entry answers later duplicates, so
+  // the record goes. A bundle stored under another hash at this height
+  // keeps its record, and duplicates are still dropped here.
+  if (!state.partial && state.have.count() == cfg_.n_consensus) {
+    ChainEntry* entry = chain_entry(msg.header);
+    if (entry != nullptr && entry->hash == hash) {
+      entry->stripes_done = true;
+      stripes_.erase(it);
+    }
   }
 }
 
-bool MultiZoneFullNode::try_byte_decode(StripeState& state) {
+bool MultiZoneFullNode::try_byte_decode(const PartialBundle& partial) {
   // Decode from the verified stripe bytes we hold. Views only — the
   // shard buffers stay inside the shared stripes.
   std::vector<std::optional<BytesView>> shards(cfg_.n_consensus);
   std::size_t present = 0;
-  for (std::size_t i = 0; i < state.bodies.size(); ++i) {
-    if (!state.bodies[i]) continue;
-    shards[i] = BytesView(state.bodies[i]->data);
+  for (std::size_t i = 0; i < partial.bodies.size(); ++i) {
+    if (!partial.bodies[i]) continue;
+    shards[i] = BytesView(partial.bodies[i]->data);
     ++present;
   }
   if (present < k()) return false;
@@ -572,10 +596,18 @@ bool MultiZoneFullNode::try_byte_decode(StripeState& state) {
   return true;
 }
 
+MultiZoneFullNode::ChainEntry* MultiZoneFullNode::chain_entry(
+    const BundleHeader& header) {
+  if (header.producer >= chains_.size()) return nullptr;
+  auto& chain = chains_[header.producer];
+  const auto it = chain.find(header.height);
+  return it == chain.end() ? nullptr : &it->second;
+}
+
 void MultiZoneFullNode::store_bundle_record(const BundleHeader& header) {
   if (header.producer >= chains_.size()) return;
   auto& chain = chains_[header.producer];
-  if (!chain.emplace(header.height, header.hash()).second) return;
+  if (!chain.emplace(header.height, ChainEntry{header.hash()}).second) return;
   ++decoded_count_;
   while (chain.count(contiguous_[header.producer] + 1) != 0) {
     ++contiguous_[header.producer];
@@ -825,7 +857,8 @@ void MultiZoneFullNode::on_pull(NodeId from, const BundlePullMsg& msg) {
     }
     const auto it = chains_[ref.chain].find(ref.height);
     const Bundle* bundle =
-        it == chains_[ref.chain].end() ? nullptr : dir_.bundle(it->second);
+        it == chains_[ref.chain].end() ? nullptr
+                                       : dir_.bundle(it->second.hash);
     if (bundle != nullptr) {
       push->bundles.push_back(*bundle);
     } else {

@@ -6,8 +6,10 @@
 // cross-zone digest backup (§IV-F).
 #pragma once
 
+#include <bitset>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -73,27 +75,35 @@ class MultiZoneFullNode : public runtime::Actor {
   }
   /// Relayers this node currently believes are active in its zone.
   std::size_t known_active_relayers() const;
+  /// Bundles with stripe state held: still decoding, or decoded with
+  /// stripes still to arrive.
+  std::size_t stripe_records() const { return stripes_.size(); }
 
  private:
-  struct StripeState {
-    BundleHeader header;
-    std::set<StripeIndex> have;
-    bool decoded = false;
+  /// What decoding a bundle needs; dropped once it decodes.
+  struct PartialBundle {
+    BundleHeader header;  ///< The first one received.
     /// Real stripe bytes, indexed by stripe index (real_stripe_payloads
     /// mode only; empty otherwise).
     std::vector<std::shared_ptr<const erasure::Stripe>> bodies;
+  };
+  /// One bundle's stripes, from the first until the last of the n_c
+  /// arrives (then the chain entry's `stripes_done` takes over).
+  struct StripeState {
+    std::bitset<256> have;  ///< n_c <= 256: the codec rejects more.
+    std::unique_ptr<PartialBundle> partial;  ///< Null once decoded.
+  };
+  /// A bundle this node holds, by (producer, height).
+  struct ChainEntry {
+    Hash32 hash;
+    /// All n_c stripes arrived and the stripe record is gone: any
+    /// further stripe of this bundle is a duplicate.
+    bool stripes_done = false;
   };
   struct RelayerState {
     std::set<StripeIndex> relayed;
     SimTime join_time = 0;
     SimTime last_seen = 0;
-  };
-  struct HashKey {
-    std::size_t operator()(const Hash32& h) const {
-      std::size_t v;
-      __builtin_memcpy(&v, h.data(), sizeof(v));
-      return v;
-    }
   };
 
   std::size_t k() const { return cfg_.n_consensus - cfg_.f; }
@@ -113,7 +123,7 @@ class MultiZoneFullNode : public runtime::Actor {
   void on_reject(NodeId from, const RejectSubscribeMsg& msg);
   void on_unsubscribe(NodeId from, const UnsubscribeMsg& msg);
   void on_relayer_alive(NodeId from, const RelayerAliveMsg& msg);
-  void on_stripe(NodeId from, const StripeMsg& msg);
+  void on_stripe(const runtime::MsgPtr& received, const StripeMsg& msg);
   void on_predis_block(NodeId from, const PredisBlockMsg& msg);
   void on_leave(NodeId from);
   void on_digest(NodeId from, const DigestMsg& msg);
@@ -123,8 +133,10 @@ class MultiZoneFullNode : public runtime::Actor {
   void on_pull_miss(NodeId from, const BundleMissMsg& msg);
 
   // Data plane.
-  [[nodiscard]] bool try_byte_decode(StripeState& state);
+  [[nodiscard]] bool try_byte_decode(const PartialBundle& partial);
   void store_bundle_record(const BundleHeader& header);
+  /// The chain entry at the header's (producer, height), or null.
+  ChainEntry* chain_entry(const BundleHeader& header);
   void try_reconstruct_blocks();
   /// Send one repair pull for the block's missing bundles at the
   /// current ladder rung (advances the rung).
@@ -172,9 +184,9 @@ class MultiZoneFullNode : public runtime::Actor {
   std::vector<SimTime> last_stripe_at_;   ///< Per stripe index.
   std::vector<SimTime> provider_since_;   ///< When current provider set.
   SimTime last_any_stripe_ = 0;
-  std::unordered_map<Hash32, StripeState, HashKey> stripes_
+  std::unordered_map<Hash32, StripeState, Hash32Hasher> stripes_
       PREDIS_MSG_DERIVED;
-  std::vector<std::map<BundleHeight, Hash32>> chains_;
+  std::vector<std::map<BundleHeight, ChainEntry>> chains_;
   std::vector<BundleHeight> contiguous_;
   std::size_t decoded_count_ = 0;
   std::size_t completed_count_ = 0;

@@ -53,8 +53,11 @@ class TestProducer final : public runtime::Actor {
     }
   }
 
-  void send_stripe(const BundleHeader& header, std::size_t bundle_bytes,
-                   std::shared_ptr<const erasure::Stripe> payload = nullptr) {
+  /// Sends this producer's stripe of `header` to every subscriber and
+  /// returns the message sent.
+  runtime::MsgPtr send_stripe(
+      const BundleHeader& header, std::size_t bundle_bytes,
+      std::shared_ptr<const erasure::Stripe> payload = nullptr) {
     auto msg = std::make_shared<StripeMsg>();
     msg->header = header;
     msg->index = index_;
@@ -62,6 +65,7 @@ class TestProducer final : public runtime::Actor {
     msg->proof_bytes = 64;
     msg->payload = std::move(payload);
     for (NodeId sub : subscribers) net_.send(self_, sub, msg);
+    return msg;
   }
 
   void send_block(const PredisBlock& block) {
@@ -76,6 +80,19 @@ class TestProducer final : public runtime::Actor {
   runtime::Runtime& net_;
   NodeId self_;
   StripeIndex index_;
+};
+
+/// Keeps every stripe message a full node forwards to it (see
+/// ZoneFixture::add_sink).
+class StripeSink final : public runtime::Actor {
+ public:
+  void on_message(NodeId /*from*/, const runtime::MsgPtr& msg) override {
+    if (dynamic_cast<const StripeMsg*>(msg.get()) != nullptr) {
+      received.push_back(msg);
+    }
+  }
+
+  std::vector<runtime::MsgPtr> received;
 };
 
 struct ZoneFixture : ::testing::Test {
@@ -124,6 +141,29 @@ struct ZoneFixture : ::testing::Test {
     return b;
   }
 
+  /// A sink subscribed to every stripe `provider` relays.
+  StripeSink& add_sink(NodeId provider) {
+    const NodeId id = net.add_node(runtime::node_100mbps(0));
+    sinks.push_back(std::make_unique<StripeSink>());
+    net.attach(id, sinks.back().get());
+    auto sub = std::make_shared<SubscribeMsg>();
+    for (std::size_t s = 0; s < kN; ++s) {
+      sub->stripes.push_back(static_cast<StripeIndex>(s));
+    }
+    net.send(id, provider, std::move(sub));
+    return *sinks.back();
+  }
+
+  /// A bundle on chain 0 at height 1, published to the directory.
+  Bundle published_bundle() {
+    std::vector<Transaction> txs(3);
+    for (std::size_t i = 0; i < txs.size(); ++i) txs[i].seq = 800 + i;
+    Bundle b = make_bundle(0, 1, parents[0], std::vector<BundleHeight>(kN, 0),
+                           std::move(txs), KeyPair::from_seed(1000));
+    dir.publish_bundle(b);
+    return b;
+  }
+
   PredisBlock announce_block(std::uint64_t height) {
     PredisBlock block;
     block.height = height;
@@ -150,6 +190,7 @@ struct ZoneFixture : ::testing::Test {
   std::vector<NodeId> producer_ids;
   std::vector<std::unique_ptr<TestProducer>> producers;
   std::vector<std::unique_ptr<MultiZoneFullNode>> full_nodes;
+  std::vector<std::unique_ptr<StripeSink>> sinks;
   std::vector<NodeId> full_ids;
   std::array<BundleHeight, kN> heights{};
   std::array<Hash32, kN> parents{kZeroHash, kZeroHash, kZeroHash, kZeroHash};
@@ -264,6 +305,108 @@ TEST_F(ZoneFixture, TamperedRealStripeIsRejectedBeforeCounting) {
   EXPECT_EQ(node->stripe_verify_failures(), 1u);
   EXPECT_EQ(node->byte_decoded_bundles(), 1u);
   EXPECT_EQ(node->decoded_bundles(), 1u);
+}
+
+TEST_F(ZoneFixture, StripeRecordIsDroppedOnceEveryStripeArrived) {
+  auto* node = add_full_node(0, 0);
+  net.start();
+  net.run_until(milliseconds(200));
+
+  const Bundle b = published_bundle();
+  for (std::size_t i = 0; i + 1 < kN; ++i) {
+    producers[i]->send_stripe(b.header, b.wire_size());
+  }
+  net.run_until(milliseconds(300));
+  // Decoded from k = n_c - f stripes; the last one is still due.
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+  EXPECT_EQ(node->stripe_records(), 1u);
+
+  producers[kN - 1]->send_stripe(b.header, b.wire_size());
+  net.run_until(milliseconds(400));
+  EXPECT_EQ(node->stripe_records(), 0u);
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+}
+
+TEST_F(ZoneFixture, ResentStripeIsNeitherForwardedNorCounted) {
+  auto* node = add_full_node(0, 0);
+  net.start();
+  net.run_until(milliseconds(200));
+  StripeSink& sink = add_sink(full_ids[0]);
+  net.run_until(milliseconds(300));
+
+  const Bundle b = published_bundle();
+  const runtime::MsgPtr first = producers[0]->send_stripe(b.header, 1000);
+  producers[1]->send_stripe(b.header, 1000);
+  net.run_until(milliseconds(400));
+  producers[1]->send_stripe(b.header, 1000);
+  net.run_until(milliseconds(500));
+  // Two distinct stripes of k = 3: the re-sent one neither decodes the
+  // bundle nor goes on to the subscriber.
+  EXPECT_EQ(node->decoded_bundles(), 0u);
+  ASSERT_EQ(sink.received.size(), 2u);
+  // The relayer forwards the message it received, not a copy.
+  EXPECT_EQ(sink.received[0].get(), first.get());
+
+  producers[2]->send_stripe(b.header, 1000);
+  producers[3]->send_stripe(b.header, 1000);
+  net.run_until(milliseconds(600));
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+  EXPECT_EQ(sink.received.size(), kN);
+  EXPECT_EQ(node->stripe_records(), 0u);
+
+  // Every stripe arrived: a late copy is dropped without new state.
+  producers[2]->send_stripe(b.header, 1000);
+  net.run_until(milliseconds(700));
+  EXPECT_EQ(sink.received.size(), kN);
+  EXPECT_EQ(node->stripe_records(), 0u);
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+}
+
+TEST_F(ZoneFixture, DecodedBundleReleasesItsStripeBytes) {
+  auto* node = add_full_node(0, 0);
+  net.start();
+  net.run_until(milliseconds(200));
+
+  const erasure::StripeCodec codec(kN - kF, kN);
+  Bundle b = published_bundle();
+  const auto encoded = codec.encode(b);
+  b.header.stripe_root = encoded.stripe_root;
+  // Stripe kN - 1 never arrives, so the record outlives the decode.
+  std::vector<std::shared_ptr<const erasure::Stripe>> sent;
+  for (std::size_t i = 0; i + 1 < kN; ++i) {
+    sent.push_back(std::make_shared<const erasure::Stripe>(encoded.stripes[i]));
+    producers[i]->send_stripe(b.header, b.wire_size(), sent.back());
+  }
+  net.run_until(milliseconds(400));
+
+  ASSERT_EQ(node->byte_decoded_bundles(), 1u);
+  EXPECT_EQ(node->stripe_records(), 1u);
+  for (const auto& stripe : sent) EXPECT_EQ(stripe.use_count(), 1);
+}
+
+TEST_F(ZoneFixture, RelayerForwardsStripesOfAPushedBundle) {
+  auto* node = add_full_node(0, 0);
+  net.start();
+  net.run_until(milliseconds(200));
+  StripeSink& sink = add_sink(full_ids[0]);
+  net.run_until(milliseconds(300));
+
+  const Bundle b = published_bundle();
+  auto push = std::make_shared<BundlePushMsg>();
+  push->bundles = {b};
+  net.send(producer_ids[1], full_ids[0], std::move(push));
+  net.run_until(milliseconds(400));
+  ASSERT_EQ(node->decoded_bundles(), 1u);
+
+  // Holding the bundle does not end the relayer's duty to its
+  // subscribers: every stripe still goes on, once.
+  for (auto& p : producers) p->send_stripe(b.header, b.wire_size());
+  net.run_until(milliseconds(500));
+  producers[0]->send_stripe(b.header, b.wire_size());
+  net.run_until(milliseconds(600));
+  EXPECT_EQ(sink.received.size(), kN);
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+  EXPECT_EQ(node->stripe_records(), 0u);
 }
 
 TEST_F(ZoneFixture, OrdinaryNodeReconstructsBlocksThroughRelayers) {

@@ -58,14 +58,6 @@ int usage() {
   return 2;
 }
 
-/// A count the runners divide by or loop on: zero crashes or hangs.
-std::size_t count(const Args& args, const std::string& name,
-                  double fallback) {
-  const double n = args.num(name, fallback);
-  if (n < 1 || n >= 1e9) args.fail("--" + name + " must be in [1, 1e9)");
-  return static_cast<std::size_t>(n);
-}
-
 /// --load in tx/s: a negative rate has no transaction count.
 double load(const Args& args, double fallback) {
   const double tps = args.num("load", fallback);
@@ -75,7 +67,7 @@ double load(const Args& args, double fallback) {
 
 /// --duration in whole seconds: a shorter run measures nothing.
 SimTime duration(const Args& args) {
-  return seconds(static_cast<std::int64_t>(count(args, "duration", 12)));
+  return seconds(static_cast<std::int64_t>(args.count("duration", 12)));
 }
 
 Topology topology(const Args& args, std::initializer_list<Topology> known) {
@@ -256,13 +248,13 @@ core::ClusterConfig cluster(Protocol protocol, std::size_t n, bool wan,
 int run_cluster_cmd(const Args& args) {
   const auto protocol = core::parse_protocol(args.get("protocol", "p-pbft"));
   if (!protocol) args.fail("unknown --protocol");
-  core::ClusterConfig cfg = cluster(*protocol, count(args, "nodes", 4),
+  core::ClusterConfig cfg = cluster(*protocol, args.count("nodes", 4),
                                     args.flag("wan"), load(args, 8000));
-  cfg.batch_size = count(args, "batch", 800);
-  cfg.bundle_size = count(args, "bundle", 50);
+  cfg.batch_size = args.count("batch", 800);
+  cfg.bundle_size = args.count("bundle", 50);
   cfg.duration = duration(args);
   cfg.warmup = cfg.duration / 3;
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  cfg.seed = args.seed("seed", 1);
   const double faulty = args.num("faulty", 0);
   if (faulty < 0 || faulty > static_cast<double>(cfg.f)) {
     args.fail("--faulty must be in [0, f] with f = " + std::to_string(cfg.f) +
@@ -315,14 +307,14 @@ int run_cluster_cmd(const Args& args) {
 int run_distribution_cmd(const Args& args) {
   multizone::ThroughputConfig cfg;
   cfg.topology = topology(args, {Topology::kStar, Topology::kMultiZone});
-  cfg.n_consensus = count(args, "nodes", 4);
+  cfg.n_consensus = args.count("nodes", 4);
   cfg.f = (cfg.n_consensus - 1) / 3;
-  cfg.n_full = count(args, "full-nodes", 24);
-  cfg.n_zones = count(args, "zones", 3);
+  cfg.n_full = args.count("full-nodes", 24);
+  cfg.n_zones = args.count("zones", 3);
   cfg.offered_load_tps = load(args, 9000);
   cfg.duration = duration(args);
   cfg.warmup = cfg.duration / 2;
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  cfg.seed = args.seed("seed", 1);
 
   const multizone::ThroughputResult r = run(cfg);
   if (args.flag("json")) {
@@ -347,13 +339,13 @@ int run_propagation_cmd(const Args& args) {
   multizone::PropagationConfig cfg;
   cfg.topology = topology(
       args, {Topology::kStar, Topology::kRandom, Topology::kMultiZone});
-  cfg.n_consensus = count(args, "nodes", 8);
+  cfg.n_consensus = args.count("nodes", 8);
   cfg.f = (cfg.n_consensus - 1) / 3;
-  cfg.n_full = count(args, "full-nodes", 100);
-  cfg.n_zones = count(args, "zones", 3);
-  cfg.block_bytes = count(args, "block-mb", 5) << 20;
-  cfg.n_blocks = count(args, "blocks", 3);
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  cfg.n_full = args.count("full-nodes", 100);
+  cfg.n_zones = args.count("zones", 3);
+  cfg.block_bytes = args.count("block-mb", 5) << 20;
+  cfg.n_blocks = args.count("blocks", 3);
+  cfg.seed = args.seed("seed", 1);
 
   const multizone::PropagationResult r = run(cfg);
   if (args.flag("json")) {

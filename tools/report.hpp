@@ -41,6 +41,27 @@ struct Args {
     }
     return value;
   }
+  /// The value of `--name` as a whole number in [lo, hi], or `fallback`
+  /// when it was not given. A fraction or an out-of-range value fails,
+  /// so "--seed -1" never wraps around to a huge unsigned number.
+  std::uint64_t whole(const std::string& name, std::uint64_t fallback,
+                      std::uint64_t lo, std::uint64_t hi) const {
+    const double n = num(name, static_cast<double>(fallback));
+    if (n < static_cast<double>(lo) || n > static_cast<double>(hi) ||
+        n != std::floor(n)) {
+      fail("--" + name + " must be a whole number in [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return static_cast<std::uint64_t>(n);
+  }
+  /// A count the runners divide by or loop on: zero crashes or hangs.
+  std::uint64_t count(const std::string& name, std::uint64_t fallback) const {
+    return whole(name, fallback, 1, 999'999'999);
+  }
+  /// A seed: any whole number a double holds exactly.
+  std::uint64_t seed(const std::string& name, std::uint64_t fallback) const {
+    return whole(name, fallback, 0, std::uint64_t{1} << 53);
+  }
   /// Prints `why` and the usage to stderr and exits 2.
   [[noreturn]] void fail(const std::string& why) const {
     std::fprintf(stderr, "%s\n\n%s", why.c_str(), usage);

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       "[--out-dir DIR]\n");
   const bool smoke = args.flag("smoke");
   const bool strict = args.flag("strict");
-  std::size_t workers = static_cast<std::size_t>(args.num("workers", 4));
+  std::size_t workers = args.whole("workers", 4, 1, 256);
   if (workers < 4) workers = 4;  // The report's contract: >= 4 real cores.
 
   std::vector<RunNumbers> runs;

@@ -70,36 +70,25 @@ int main(int argc, char** argv) {
 
   core::SwarmCaseConfig base;
   base.protocol = *protocol;
-  base.n_consensus = static_cast<std::size_t>(args.num("nodes", 4));
+  base.n_consensus = args.whole("nodes", 4, 4, 1000);  // f >= 1
   base.f = (base.n_consensus - 1) / 3;
-  if (base.f == 0) {
-    std::fprintf(stderr, "need at least 4 nodes (f >= 1)\n");
-    return 2;
-  }
   base.wan = !args.flag("lan");
   base.offered_load_tps = args.num("load", 2000);
   base.duration =
       seconds(static_cast<std::int64_t>(args.num("duration", 10)));
-  base.faults.events = static_cast<std::size_t>(args.num("events", 6));
+  base.faults.events = args.whole("events", 6, 0, 1'000'000);
   // Leave a fault-free tail longer than the ban grace, so the ban-list
   // invariant has a checked window after the network quiesces.
   base.faults.horizon = base.duration / 3;
   base.faults.equivocation = !args.flag("no-equivocation");
   base.verbose = args.flag("verbose");
 
-  const std::uint64_t n_seeds =
-      static_cast<std::uint64_t>(args.num("seeds", 20));
-  if (n_seeds == 0) {
-    // A typo'd --seeds would otherwise "pass" vacuously in CI.
-    std::fputs("swarm: --seeds must be a positive integer\n", stderr);
-    return 2;
-  }
-  const std::uint64_t seed_base =
-      static_cast<std::uint64_t>(args.num("seed-base", 1));
+  // A typo'd --seeds 0 would otherwise "pass" vacuously in CI.
+  const std::uint64_t n_seeds = args.count("seeds", 20);
+  const std::uint64_t seed_base = args.seed("seed-base", 1);
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t n_threads = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             args.num("threads", hw == 0 ? 4 : static_cast<double>(hw))));
+  const std::size_t n_threads =
+      args.whole("threads", hw == 0 ? 4 : std::min(hw, 256u), 1, 256);
 
   std::printf("swarm: %llu seeds from %llu, protocol %s, %zu nodes, "
               "%zu fault events/run, %zu threads\n",
