@@ -149,7 +149,6 @@ class Mempool {
     return rejoin_base_.count(producer) != 0;
   }
   bool is_banned(NodeId producer) const { return banned_.count(producer) != 0; }
-  const std::set<NodeId>& ban_list() const { return banned_; }
 
   // --- Out-of-order buffer ---------------------------------------------
 

@@ -104,11 +104,6 @@ SimTime BlockTracer::first(TraceStage stage, const Hash32& key) const {
   return it->second.first[static_cast<std::size_t>(stage)];
 }
 
-std::size_t BlockTracer::ban_count(NodeId observer, NodeId producer) const {
-  const auto it = bans_.find({observer, producer});
-  return it == bans_.end() ? 0 : it->second.size();
-}
-
 std::size_t BlockTracer::pull_count(const Hash32& block, NodeId node) const {
   const auto it = pulls_.find({block, node});
   return it == pulls_.end() ? 0 : it->second;

@@ -119,7 +119,6 @@ class BlockTracer {
   bool has(TraceStage stage, const Hash32& key) const {
     return first(stage, key) != kSimTimeNever;
   }
-  std::size_t ban_count(NodeId observer, NodeId producer) const;
   std::size_t pull_count(const Hash32& block, NodeId node) const;
   std::size_t entry_count() const { return entries_.size(); }
   /// Every recorded ban, over all (observer, producer) pairs.

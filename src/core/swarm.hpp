@@ -72,7 +72,7 @@ struct SwarmCaseResult {
 
   double throughput_tps = 0.0;  ///< Whole-run committed tx/s.
   /// Degradation metrics (compared against a clean AttackKind::kNone run
-  /// of the same seed by tools/adversary_report).
+  /// of the same seed by `predis-sim campaign --kind adversary`).
   std::uint64_t committed_txs = 0;
   /// p99 of the proposal->commit interval from the block tracer, the
   /// consensus-layer end-to-end latency (0 when nothing committed).

@@ -36,7 +36,6 @@ class ReedSolomon {
 
   std::size_t data_shards() const { return k_; }
   std::size_t total_shards() const { return n_; }
-  std::size_t parity_shards() const { return n_ - k_; }
 
   /// Size of each shard for a payload of `payload_size` bytes:
   /// ceil((4 + payload_size) / k) — 4-byte length prefix included.

@@ -74,9 +74,15 @@ class ZoneDirectory {
 
   // --- Bundle decode oracle ---------------------------------------------
 
+  /// Every full node publishes what it decodes: a bundle already stored
+  /// is neither copied nor allocated again.
   void publish_bundle(const Bundle& bundle) {
     std::lock_guard<std::mutex> lock(store_m_);
-    store_.emplace(bundle.header.hash(), bundle);
+    store_.try_emplace(bundle.header.hash(), bundle);
+  }
+  void publish_bundle(Bundle&& bundle) {
+    std::lock_guard<std::mutex> lock(store_m_);
+    store_.try_emplace(bundle.header.hash(), std::move(bundle));
   }
 
   /// Pointer into the store: unordered_map nodes are stable, so the

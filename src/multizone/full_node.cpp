@@ -764,7 +764,6 @@ void MultiZoneFullNode::try_reconstruct_blocks() {
       ++it;
       continue;
     }
-    ++completed_count_;
     if (tracer_ != nullptr) {
       tracer_->record(TraceStage::kBlockReconstructed, block.hash(), now(),
                       self_);
@@ -883,11 +882,16 @@ void MultiZoneFullNode::on_push(NodeId /*from*/, const BundlePushMsg& msg) {
     // body root). A fabricated push must not poison chains_ — a bogus
     // (producer, height) entry would freeze contiguous_ and block
     // reconstruction forever.
-    if (dir_.bundle(bundle.header.hash()) == nullptr) {
+    const Hash32 hash = bundle.header.hash();
+    if (dir_.bundle(hash) == nullptr) {
       ++push_verify_failures_;
       continue;
     }
     store_bundle_record(bundle.header);
+    // The pushed body replaces decoding: drop the stripe bytes, keep the
+    // dedup bits so later stripes are still forwarded once.
+    const auto it = stripes_.find(hash);
+    if (it != stripes_.end()) it->second.partial.reset();
   }
 }
 

@@ -60,7 +60,6 @@ class MultiZoneFullNode : public runtime::Actor {
   NodeId provider_of(StripeIndex s) const { return providers_[s]; }
   std::size_t subscriber_count() const;
   std::size_t decoded_bundles() const { return decoded_count_; }
-  std::size_t completed_blocks() const { return completed_count_; }
   /// Bundles recovered by actually Reed-Solomon-decoding stripe bytes
   /// (real_stripe_payloads mode; always <= decoded_bundles()).
   std::size_t byte_decoded_bundles() const { return byte_decoded_count_; }
@@ -189,7 +188,6 @@ class MultiZoneFullNode : public runtime::Actor {
   std::vector<std::map<BundleHeight, ChainEntry>> chains_;
   std::vector<BundleHeight> contiguous_;
   std::size_t decoded_count_ = 0;
-  std::size_t completed_count_ = 0;
   std::size_t byte_decoded_count_ = 0;
   std::size_t decode_failures_ = 0;
   std::size_t push_verify_failures_ = 0;

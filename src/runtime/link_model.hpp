@@ -49,7 +49,6 @@ class LinkModel {
 
   std::size_t node_count() const { return nodes_.size(); }
   std::uint32_t region_of(NodeId id) const { return nodes_[id].config.region; }
-  const NodeConfig& config_of(NodeId id) const { return nodes_[id].config; }
 
   /// Outcome of planning one send at time `now`.
   struct Planned {

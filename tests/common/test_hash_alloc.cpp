@@ -1,9 +1,9 @@
 // Allocation check for the transaction-path hashes: with a counting
 // global operator new, steady-state Transaction::id(),
 // BundleHeader::hash(), PredisBlock::hash(), bundle / block signature
-// verification and the bundle / block transaction roots must not
-// touch the heap. Its own executable
-// because replacing operator new is program-wide.
+// verification, the bundle / block transaction roots and re-publishing
+// a stored bundle to the Multi-Zone directory must not touch the heap.
+// Its own executable because replacing operator new is program-wide.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <new>
 
 #include "bundle/predis_block.hpp"
+#include "multizone/directory.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -138,6 +139,17 @@ TEST(HashAlloc, BundleAndBlockTxRootsAllocateNothing) {
               sink[0] ^= executed_tx_root(mempool, block, executed)[0];
             }),
             0u);
+}
+
+TEST(HashAlloc, RepublishingAStoredBundleAllocatesNothing) {
+  // Every full node publishes each bundle it decodes; only the first
+  // publication stores it.
+  multizone::ZoneDirectory dir(1);
+  const Bundle b = make_bundle(1, 1, kZeroHash, {0, 1, 0, 0}, make_txs(20),
+                               KeyPair::from_seed(1));
+  dir.publish_bundle(b);
+  EXPECT_EQ(allocations_in([&] { dir.publish_bundle(b); }), 0u);
+  EXPECT_NE(dir.bundle(b.header.hash()), nullptr);
 }
 
 }  // namespace

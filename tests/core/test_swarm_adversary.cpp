@@ -1,8 +1,9 @@
 // Adversarial swarm campaign: every AttackKind against every swarm
 // protocol, asserting graceful degradation — all safety invariants hold
 // with the attacker inside the f-budget, and the honest majority keeps
-// committing. This is the ctest-sized version of tools/adversary_report
-// (which additionally quantifies the clean-relative degradation).
+// committing. This is the ctest-sized version of `predis-sim campaign
+// --kind adversary` (which additionally quantifies the clean-relative
+// degradation).
 #include "core/swarm.hpp"
 
 #include <gtest/gtest.h>

@@ -96,7 +96,7 @@ TEST(DistributionCluster, MultiZoneShrugsOffFullNodeGrowth) {
 }
 
 // committed_txs counts transactions from the client metrics, never a
-// block height (adversary_report once reported the slowest node's
+// block height (the adversary campaign once reported the slowest node's
 // executed slot under that name).
 TEST(DistributionCluster, CommittedTxsCountsTransactions) {
   ThroughputConfig cfg;

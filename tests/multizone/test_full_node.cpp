@@ -409,6 +409,44 @@ TEST_F(ZoneFixture, RelayerForwardsStripesOfAPushedBundle) {
   EXPECT_EQ(node->stripe_records(), 0u);
 }
 
+TEST_F(ZoneFixture, PushedBundleReleasesItsStripeBytes) {
+  auto* node = add_full_node(0, 0);
+  net.start();
+  net.run_until(milliseconds(200));
+
+  const erasure::StripeCodec codec(kN - kF, kN);
+  Bundle b = published_bundle();
+  const auto encoded = codec.encode(b);
+  b.header.stripe_root = encoded.stripe_root;
+  dir.publish_bundle(b);
+  // One stripe short of k: the bundle arrives by push instead.
+  std::vector<std::shared_ptr<const erasure::Stripe>> sent;
+  for (std::size_t i = 0; i + 1 < kN - kF; ++i) {
+    sent.push_back(std::make_shared<const erasure::Stripe>(encoded.stripes[i]));
+    producers[i]->send_stripe(b.header, b.wire_size(), sent.back());
+  }
+  net.run_until(milliseconds(300));
+  auto push = std::make_shared<BundlePushMsg>();
+  push->bundles = {b};
+  net.send(producer_ids[kN - 1], full_ids[0], std::move(push));
+  net.run_until(milliseconds(400));
+
+  ASSERT_EQ(node->decoded_bundles(), 1u);
+  EXPECT_EQ(node->stripe_records(), 1u);
+  for (const auto& stripe : sent) EXPECT_EQ(stripe.use_count(), 1);
+
+  // The remaining stripes are still counted once; then the record goes.
+  for (std::size_t i = kN - kF - 1; i < kN; ++i) {
+    producers[i]->send_stripe(
+        b.header, b.wire_size(),
+        std::make_shared<const erasure::Stripe>(encoded.stripes[i]));
+  }
+  net.run_until(milliseconds(500));
+  EXPECT_EQ(node->stripe_records(), 0u);
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+  EXPECT_EQ(node->byte_decoded_bundles(), 0u);
+}
+
 TEST_F(ZoneFixture, OrdinaryNodeReconstructsBlocksThroughRelayers) {
   // Fill the zone with kN relayers plus one ordinary node.
   for (std::size_t i = 0; i < kN + 1; ++i) {

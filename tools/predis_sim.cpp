@@ -9,12 +9,16 @@
 //   predis-sim distribution --topology multi-zone --full-nodes 24 --zones 3
 //   predis-sim propagation --topology star --block-mb 5 --full-nodes 100
 //   predis-sim paper --figure fig7 --json
+//   predis-sim campaign --kind adversary --smoke --strict
 //
 // Exit status is non-zero on inconsistent ledgers, so the tool can act
-// as a scriptable safety check.
+// as a scriptable safety check; `campaign --strict` also fails on any
+// of its kind's checks (the smoke ctests run all four kinds so).
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -22,9 +26,15 @@
 #include <vector>
 
 #include "bundle/predis_block.hpp"
+#include "common/block_tracer.hpp"
+#include "common/thread_annotations.hpp"
 #include "consensus/narwhal/shared_mempool.hpp"
 #include "core/experiment.hpp"
+#include "core/swarm.hpp"
 #include "multizone/experiments.hpp"
+#include "runtime/environments.hpp"
+#include "runtime/faults.hpp"
+#include "runtime/thread_runtime.hpp"
 #include "report.hpp"
 
 namespace {
@@ -35,6 +45,7 @@ using core::Protocol;
 using multizone::Topology;
 using tools::Args;
 using tools::json_ms;
+using tools::JsonWriter;
 using tools::table_ms;
 
 constexpr const char* kUsage =
@@ -51,7 +62,9 @@ constexpr const char* kUsage =
     "                     [--nodes N] [--block-mb N] [--blocks N]\n"
     "                     [--full-nodes N] [--zones N] [--seed N] [--json]\n"
     "  predis-sim paper [--figure fig4|fig5|fig6|fig7|fig8|ablation]\n"
-    "                     [--json]\n";
+    "                     [--json]\n"
+    "  predis-sim campaign --kind adversary|recovery|trace|runtime\n"
+    "                     [--smoke] [--strict] [--out-dir DIR]\n";
 
 int usage() {
   std::fputs(kUsage, stderr);
@@ -604,6 +617,650 @@ int run_paper_cmd(const Args& args) {
   return consistent ? 0 : 1;
 }
 
+
+// `campaign`: the robustness reports, one preset per kind. Each writes
+// its BENCH_*.json to --out-dir and prints one summary line of checks;
+// --strict turns a failed check into exit status 1.
+//
+//   adversary  every attack archetype against P-PBFT, PBFT, HotStuff and
+//              Narwhal (swarm harness) and against Multi-Zone gossip. A
+//              single attacker within the f-budget may slow a protocol
+//              down, but every cell must stay safe and keep committing.
+//   recovery   crash/restart, churn storm and partition/heal against
+//              five protocols: a node that was cut off must resume
+//              committing shortly after the heal.
+//   trace      one small tracer-instrumented run per protocol family:
+//              per-stage latency tables and anomaly scans, which must
+//              come back clean.
+//   runtime    one P-PBFT cluster and one Multi-Zone run, assembled by
+//              the same code, on the deterministic simulator (model
+//              time) and on ThreadRuntime (wall clock, no network model).
+
+/// A campaign's result: its JSON after the envelope's "smoke" field,
+/// and its checks, each named for the summary line.
+struct Report {
+  std::string json;
+  std::vector<std::pair<const char*, bool>> checks;
+};
+
+/// The small Fig. 7 run the adversary and trace campaigns share:
+/// P-PBFT + Multi-Zone, 4 consensus nodes, 3 zones.
+multizone::ThroughputConfig small_fig7(bool smoke, std::uint64_t seed) {
+  multizone::ThroughputConfig cfg;
+  cfg.topology = Topology::kMultiZone;
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.n_full = smoke ? 6 : 12;
+  cfg.n_zones = 3;
+  cfg.offered_load_tps = smoke ? 3'000.0 : 8'000.0;
+  cfg.duration = smoke ? seconds(6) : seconds(10);
+  cfg.warmup = seconds(2);
+  cfg.seed = seed;
+  return cfg;
+}
+
+// --- Swarm campaigns (adversary, recovery) -----------------------------
+
+/// One run of a swarm campaign under one fault shape.
+struct Cell {
+  const char* shape = "";
+  core::SwarmCaseResult r;
+  /// What "alive" and the clean-relative throughput ratio read:
+  /// committed txs of a swarm case, tx/s of a Multi-Zone run.
+  double basis = 0.0;
+};
+
+double throughput_ratio(const Cell& clean, const Cell& c) {
+  return clean.basis <= 0.0 ? 0.0 : c.basis / clean.basis;
+}
+
+struct Shape {
+  const char* name;
+  core::AttackKind attack;
+  void (*faults)(runtime::FaultPlanConfig&);  ///< Null: keep the plan.
+};
+
+/// Per protocol, a clean same-seed baseline and then one cell per fault
+/// shape; the Multi-Zone gossip row follows the protocols if `gossip`.
+struct SwarmCampaign {
+  std::vector<Protocol> protocols;
+  bool gossip;
+  SimTime clean_tail;  ///< Fault-free time after the fault horizon.
+  Shape clean;
+  std::vector<Shape> shapes;
+  const char* shape_key;  ///< JSON key of a cell's shape name.
+  void (*clean_json)(JsonWriter&, const Cell& clean);
+  void (*cell_json)(JsonWriter&, const Cell& clean, const Cell& c);
+  const char* fired;  ///< Summary name of the "faults fired" check.
+  bool (*fired_ok)(const Cell&);
+};
+
+SwarmCampaign adversary() {
+  using core::AttackKind;
+  const auto attack = [](AttackKind a) -> Shape {
+    return {core::to_string(a), a, nullptr};
+  };
+  return {
+      .protocols = {Protocol::kPredisPbft, Protocol::kPbft,
+                    Protocol::kHotStuff, Protocol::kNarwhal},
+      .gossip = true,
+      .clean_tail = seconds(2),
+      .clean = {"clean", AttackKind::kNone,
+                [](runtime::FaultPlanConfig& plan) {
+                  core::configure_attack(plan, AttackKind::kNone, 0);
+                }},
+      .shapes = {attack(AttackKind::kThrottle), attack(AttackKind::kWithhold),
+                 attack(AttackKind::kGarbage),
+                 attack(AttackKind::kChurnStorm)},
+      .shape_key = "attack",
+      .clean_json =
+          [](JsonWriter& j, const Cell& clean) {
+            j.kv("committed_txs",
+                 static_cast<std::size_t>(clean.r.committed_txs));
+            j.kv("throughput_tps", clean.r.throughput_tps);
+            j.kv("p99_ms", clean.r.production_p99_ms, false);
+          },
+      .cell_json =
+          [](JsonWriter& j, const Cell& clean, const Cell& c) {
+            j.kv("committed_txs", static_cast<std::size_t>(c.r.committed_txs));
+            j.kv("throughput_tps", c.r.throughput_tps);
+            j.kv("throughput_ratio", throughput_ratio(clean, c));
+            j.kv("p99_ms", c.r.production_p99_ms);
+            j.kv("hostile_msgs", c.r.hostile_msgs);
+            j.kv("faults_injected", c.r.faults_injected, false);
+          },
+      .fired = "garbage injection",
+      .fired_ok =
+          [](const Cell& c) {
+            return std::string(c.shape) != "garbage" || c.r.hostile_msgs > 0;
+          },
+  };
+}
+
+/// Turns off every fault kind that is on by default, so a recovery
+/// scenario exercises exactly one recovery path.
+void quiesce(runtime::FaultPlanConfig& plan) {
+  plan.crashes = false;
+  plan.pair_partitions = false;
+  plan.zone_partitions = false;
+  plan.jitter = false;
+  plan.drops = false;
+  plan.equivocation = false;
+}
+
+SwarmCampaign recovery() {
+  return {
+      .protocols = {Protocol::kPredisPbft, Protocol::kPbft,
+                    Protocol::kHotStuff, Protocol::kPredisHotStuff,
+                    Protocol::kNarwhal},
+      .gossip = false,
+      // Time-to-catch-up and post-heal throughput need room after the
+      // last heal to be measured.
+      .clean_tail = seconds(3),
+      .clean = {"clean", core::AttackKind::kNone, quiesce},
+      .shapes = {{"crash_restart", core::AttackKind::kNone,
+                  [](runtime::FaultPlanConfig& plan) {
+                    quiesce(plan);
+                    plan.crashes = true;
+                  }},
+                 {"churn_storm", core::AttackKind::kNone,
+                  [](runtime::FaultPlanConfig& plan) {
+                    quiesce(plan);
+                    plan.churn_storms = true;
+                  }},
+                 {"partition_heal", core::AttackKind::kNone,
+                  [](runtime::FaultPlanConfig& plan) {
+                    quiesce(plan);
+                    plan.partitions = true;
+                  }}},
+      .shape_key = "scenario",
+      .clean_json =
+          [](JsonWriter& j, const Cell& clean) {
+            j.kv("committed_txs",
+                 static_cast<std::size_t>(clean.r.committed_txs));
+            j.kv("throughput_tps", clean.r.throughput_tps);
+            j.kv("gc_bytes", static_cast<std::size_t>(clean.r.gc_bytes),
+                 false);
+          },
+      .cell_json =
+          [](JsonWriter& j, const Cell& clean, const Cell& c) {
+            const core::SwarmCaseResult& r = c.r;
+            j.kv("committed_txs", static_cast<std::size_t>(r.committed_txs));
+            j.kv("throughput_ratio", throughput_ratio(clean, c));
+            j.kv("post_heal_ratio",
+                 clean.r.throughput_tps <= 0.0
+                     ? 0.0
+                     : r.post_heal_tps / clean.r.throughput_tps);
+            j.kv("catch_up_ms", r.catch_up_ms);
+            j.kv("catch_up_batches",
+                 static_cast<std::size_t>(r.catch_up_batches));
+            j.kv("sync_stalls", r.sync_stalls);
+            j.kv("state_transfers", r.state_transfers);
+            j.kv("gc_bytes", static_cast<std::size_t>(r.gc_bytes));
+            j.kv("gc_items", static_cast<std::size_t>(r.gc_items));
+            j.kv("duplicate_payloads", r.duplicate_payloads);
+            j.kv("faults_injected", r.faults_injected, false);
+          },
+      .fired = "fault injection",
+      .fired_ok = [](const Cell& c) { return c.r.faults_injected > 0; },
+  };
+}
+
+/// The adversary campaign's Multi-Zone row: the small Fig. 7 run under
+/// `swarm`'s attack, aimed at the distribution layer. Throttle hits a
+/// consensus stripe source, which degrades the whole fan-out tree;
+/// withhold, garbage and churn come from inside the full-node swarm
+/// (the first-joined node of zone 0, which Algorithm 1 makes a relayer).
+Cell gossip_cell(const core::SwarmCaseConfig& swarm, bool smoke) {
+  multizone::ThroughputConfig cfg = small_fig7(smoke, swarm.seed);
+  BlockTracer tracer(cfg.n_consensus - cfg.f);
+  cfg.ctx.tracer = &tracer;
+  std::unique_ptr<runtime::FaultScheduler> faults;
+  std::size_t hostile = 0;
+  if (swarm.attack != core::AttackKind::kNone) {
+    // The runner starts clients once the join churn settles; faults
+    // must strike inside the measured window.
+    const SimTime setup = multizone::load_start(cfg);
+    cfg.ctx.on_network_ready = [&, setup](runtime::Runtime& net,
+                                          const std::vector<NodeId>& consensus,
+                                          const std::vector<NodeId>& full) {
+      runtime::FaultPlanConfig plan;
+      core::configure_attack(plan, swarm.attack, swarm.faults.events);
+      plan.seed = cfg.seed;
+      plan.start = setup + seconds(1);
+      plan.horizon = setup + cfg.duration - seconds(1);
+      faults = std::make_unique<runtime::FaultScheduler>(
+          net, swarm.attack == core::AttackKind::kThrottle ? consensus : full,
+          plan);
+      faults->on_garbage = [&hostile, &net, consensus, full](
+                               NodeId id, SimTime window) {
+        // Hostile gossip toward every consensus node plus a slice of
+        // full-node peers, in bursts spread over the fault window.
+        std::vector<NodeId> peers = consensus;
+        for (std::size_t i = 0; i < full.size() && i < 4; ++i) {
+          if (full[i] != id) peers.push_back(full[i]);
+        }
+        constexpr std::size_t kBursts = 4;
+        for (std::size_t b = 0; b < kBursts; ++b) {
+          PREDIS_FIRE_AND_FORGET(net.schedule_after(
+              window * static_cast<SimTime>(b) /
+                  static_cast<SimTime>(kBursts),
+              [&hostile, &net, id, peers, b] {
+                hostile += core::hostile_gossip_burst(net, id, peers, 4, b);
+              }));
+        }
+      };
+      faults->arm();
+    };
+  }
+  const multizone::ThroughputResult r =
+      multizone::run_distribution_cluster(cfg);
+  Cell c;
+  c.r.ok = r.consistent;
+  c.r.committed_txs = r.committed_txs;
+  c.r.throughput_tps = r.throughput_tps;
+  for (const TraceStageStats& st : r.stage_latency) {
+    if (st.name == "end_to_end" && st.count > 0) {
+      c.r.production_p99_ms = st.p99_ms;
+    }
+  }
+  c.r.hostile_msgs = hostile;
+  c.r.faults_injected = faults ? faults->faults_injected() : 0;
+  c.basis = r.throughput_tps;
+  return c;
+}
+
+Report swarm_campaign(const SwarmCampaign& k, bool smoke) {
+  std::string rows;
+  bool safe = true;
+  bool alive = true;
+  bool fired = true;
+  const std::size_t n_rows = k.protocols.size() + (k.gossip ? 1 : 0);
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const bool gossip = i == k.protocols.size();
+    const Protocol protocol = gossip ? Protocol::kPredisPbft : k.protocols[i];
+    const auto run = [&](const Shape& shape) {
+      core::SwarmCaseConfig cfg;
+      cfg.protocol = protocol;
+      cfg.n_consensus = 4;
+      cfg.f = 1;
+      cfg.offered_load_tps = 2'000.0;
+      cfg.duration = smoke ? seconds(6) : seconds(10);
+      cfg.seed = 42;
+      cfg.faults.events = smoke ? 2 : 3;
+      cfg.faults.horizon = cfg.duration - k.clean_tail;
+      cfg.attack = shape.attack;
+      if (shape.faults != nullptr) shape.faults(cfg.faults);
+      Cell c;
+      if (gossip) {
+        c = gossip_cell(cfg, smoke);
+      } else {
+        c.r = core::run_swarm_case(cfg);
+        c.basis = static_cast<double>(c.r.committed_txs);
+      }
+      c.shape = shape.name;
+      return c;
+    };
+    const Cell clean = run(k.clean);
+    JsonWriter j;
+    j.raw("    {");
+    j.kv("protocol", gossip ? "multizone_gossip" : core::to_string(protocol));
+    j.raw("\"clean\": {");
+    k.clean_json(j, clean);
+    j.raw(std::string("},\n      \"") + k.shape_key + "s\": [\n");
+    std::string details;
+    for (const Shape& shape : k.shapes) {
+      const Cell c = run(shape);
+      safe = safe && c.r.ok;
+      alive = alive && c.basis > 0.0;
+      fired = fired && k.fired_ok(c);
+      if (!c.r.ok) details += c.r.report;
+      j.raw("        {");
+      j.kv(k.shape_key, c.shape);
+      j.kv("safe", c.r.ok);
+      j.kv("alive", c.basis > 0.0);
+      k.cell_json(j, clean, c);
+      j.raw(&shape == &k.shapes.back() ? "}\n" : "},\n");
+    }
+    j.raw(i + 1 == n_rows ? "      ]}\n" : "      ]},\n");
+    std::printf("%s%s", j.buf.c_str(), details.c_str());
+    std::fflush(stdout);
+    rows += j.buf;
+  }
+  JsonWriter j;
+  j.kv("all_safe", safe);
+  j.kv("all_alive", alive);
+  j.raw("\"protocols\": [\n" + rows + "  ]\n");
+  return {j.buf, {{"safety", safe}, {"liveness", alive}, {k.fired, fired}}};
+}
+
+// --- Trace campaign ----------------------------------------------------
+
+/// One traced run reduced to what the report needs.
+struct TracedRun {
+  std::string name;
+  std::string description;
+  std::vector<TraceStageStats> stages;
+  std::vector<TraceAnomaly> anomalies;
+  /// Attributed worst samples of the tail stage, so a straggler is a
+  /// (block, node, pulls) fact, not just a number.
+  std::vector<std::string> outliers;
+  std::size_t trace_entries = 0;  ///< Distinct traced bundles/blocks.
+  std::size_t bans = 0;           ///< Ban events over all observers.
+  std::size_t pulls = 0;          ///< Repair pulls over all nodes.
+  double headline = 0.0;          ///< tps or coverage, see unit.
+  const char* headline_unit = "tx/s";
+  /// Intervals that must be present (count > 0) for the run's JSON
+  /// block to be schema-complete.
+  std::vector<std::string> required_stages;
+};
+
+/// Fills the fields every traced run reads from its tracer.
+TracedRun traced(std::string name, std::string description,
+                 std::vector<TraceStageStats> stages,
+                 const BlockTracer& tracer, SimTime scan_at,
+                 double headline) {
+  TracedRun t;
+  t.name = std::move(name);
+  t.description = std::move(description);
+  t.stages = std::move(stages);
+  t.anomalies = tracer.anomalies(scan_at);
+  t.trace_entries = tracer.entry_count();
+  t.bans = tracer.total_bans();
+  t.pulls = tracer.total_pulls();
+  t.headline = headline;
+  return t;
+}
+
+TracedRun traced_multizone(bool smoke) {
+  multizone::ThroughputConfig cfg = small_fig7(smoke, 1);
+  BlockTracer tracer(cfg.n_consensus - cfg.f);
+  tracer.expect_reconstruction(true);
+  cfg.ctx.tracer = &tracer;
+  const auto r = multizone::run_distribution_cluster(cfg);
+  TracedRun t = traced("predis_multizone",
+                       "P-PBFT + Multi-Zone distribution (Fig. 7 shape)",
+                       r.stage_latency, tracer, cfg.duration,
+                       r.throughput_tps);
+  for (const TraceIntervalSample& s : tracer.top_samples("distribution", 5)) {
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  "distribution %.1f ms: block %s node %u (%.1f -> %.1f ms, "
+                  "%zu pulls)",
+                  s.ms, short_hex(s.key).c_str(), s.node,
+                  to_milliseconds(s.from), to_milliseconds(s.to),
+                  tracer.pull_count(s.key, s.node));
+    t.outliers.emplace_back(line);
+  }
+  t.required_stages = {"tx_wait",      "bundle_quorum",    "production",
+                       "stripes_sent", "pre_distribution", "distribution",
+                       "end_to_end"};
+  return t;
+}
+
+TracedRun traced_cluster(Protocol protocol, bool smoke) {
+  core::ClusterConfig cfg;
+  cfg.protocol = protocol;
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.offered_load_tps = smoke ? 2'000.0 : 6'000.0;
+  cfg.duration = smoke ? seconds(6) : seconds(10);
+  cfg.warmup = seconds(2);
+  BlockTracer tracer(cfg.n_consensus - cfg.f);
+  cfg.ctx.tracer = &tracer;
+  const auto r = core::run_cluster(cfg);
+  const std::string name = core::to_string(protocol);
+  TracedRun t = traced(name, "baseline " + name + " cluster (WAN)",
+                       r.stage_latency, tracer, cfg.duration,
+                       r.throughput_tps);
+  t.required_stages = {"production"};
+  return t;
+}
+
+TracedRun traced_gossip(bool smoke) {
+  multizone::PropagationConfig cfg;
+  cfg.topology = Topology::kRandom;
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.n_full = smoke ? 16 : 40;
+  cfg.peers = 4;
+  cfg.fanout = 3;
+  cfg.block_bytes = smoke ? (256 << 10) : (1 << 20);
+  cfg.n_blocks = smoke ? 2 : 4;
+  cfg.setup_time = seconds(2);
+  BlockTracer tracer;
+  tracer.expect_reconstruction(true);
+  cfg.ctx.tracer = &tracer;
+  const auto r = multizone::run_propagation(cfg);
+  // Propagation runs until delivery settles; judge stalls well past the
+  // last possible commit so a truly unreconstructed block flags.
+  TracedRun t = traced("random_gossip",
+                       "FEG random-gossip block propagation (Fig. 8 shape)",
+                       r.stage_latency, tracer, cfg.setup_time + seconds(120),
+                       r.full_coverage_fraction * 100.0);
+  t.headline_unit = "% coverage";
+  t.required_stages = {"distribution"};
+  return t;
+}
+
+void print_traced(const TracedRun& t) {
+  std::printf("\n=== %s — %s ===\n  headline: %.1f %s\n", t.name.c_str(),
+              t.description.c_str(), t.headline, t.headline_unit);
+  std::printf("  %-18s %8s %10s %10s %10s %10s %10s %10s\n", "stage",
+              "count", "mean ms", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms",
+              "max ms");
+  for (const TraceStageStats& st : t.stages) {
+    std::printf("  %-18s %8zu %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f\n",
+                st.name.c_str(), st.count, st.mean_ms, st.p50_ms, st.p95_ms,
+                st.p99_ms, st.p999_ms, st.max_ms);
+  }
+  for (const std::string& line : t.outliers) {
+    std::printf("  outlier: %s\n", line.c_str());
+  }
+  if (t.anomalies.empty()) std::printf("  anomalies: none\n");
+  for (const TraceAnomaly& a : t.anomalies) {
+    std::printf("  ANOMALY: %s\n", a.describe().c_str());
+  }
+}
+
+Report trace_campaign(bool smoke) {
+  const std::vector<TracedRun> runs = {
+      traced_multizone(smoke), traced_cluster(Protocol::kPbft, smoke),
+      traced_cluster(Protocol::kHotStuff, smoke), traced_gossip(smoke)};
+  bool schema_ok = true;
+  bool clean = true;
+  JsonWriter j;
+  j.raw("\"scenarios\": [\n");
+  for (const TracedRun& t : runs) {
+    print_traced(t);
+    clean = clean && t.anomalies.empty();
+    for (const std::string& want : t.required_stages) {
+      if (std::none_of(t.stages.begin(), t.stages.end(),
+                       [&](const TraceStageStats& st) {
+                         return st.name == want && st.count > 0;
+                       })) {
+        std::printf("  SCHEMA HOLE: %s missing stage %s\n", t.name.c_str(),
+                    want.c_str());
+        schema_ok = false;
+      }
+    }
+    j.raw("    {");
+    j.kv("name", t.name.c_str());
+    j.kv("description", t.description.c_str());
+    j.kv("headline", t.headline);
+    j.kv("headline_unit", t.headline_unit);
+    j.kv("anomalies", t.anomalies.size());
+    j.kv("clean", t.anomalies.empty());
+    j.kv("trace_entries", t.trace_entries);
+    j.kv("bans", t.bans);
+    j.kv("pulls", t.pulls);
+    j.raw("\"stages\": [\n");
+    for (const TraceStageStats& st : t.stages) {
+      j.raw("      {");
+      j.kv("name", st.name.c_str());
+      j.kv("count", st.count);
+      j.kv("mean_ms", st.mean_ms);
+      j.kv("p50_ms", st.p50_ms);
+      j.kv("p95_ms", st.p95_ms);
+      j.kv("p99_ms", st.p99_ms);
+      j.kv("p999_ms", st.p999_ms);
+      j.kv("max_ms", st.max_ms);
+      j.raw("\"top_ms\": [");
+      for (const double& ms : st.top_ms) {
+        char tmp[48];
+        std::snprintf(tmp, sizeof(tmp), "%s%.3f",
+                      &ms == &st.top_ms.front() ? "" : ", ", ms);
+        j.raw(tmp);
+      }
+      j.raw(&st == &t.stages.back() ? "]}\n" : "]},\n");
+    }
+    j.raw(&t == &runs.back() ? "    ]}\n" : "    ]},\n");
+  }
+  j.raw("  ]\n");
+  return {j.buf, {{"anomaly scan", clean}, {"schema", schema_ok}}};
+}
+
+// --- Runtime campaign --------------------------------------------------
+
+/// Worker threads of the wall-clock backend: the report's figures are
+/// for four real cores.
+constexpr std::size_t kWallWorkers = 4;
+
+/// The cluster (or the zone) scenario on `backend`; null selects the
+/// runner's internal SimRuntime.
+core::RunReport run_on(bool smoke, bool zone, runtime::Runtime* backend) {
+  if (zone) {
+    multizone::ThroughputConfig cfg;
+    cfg.topology = Topology::kMultiZone;
+    cfg.n_consensus = 4;
+    cfg.f = 1;
+    cfg.n_full = smoke ? 6 : 12;
+    cfg.n_zones = 3;
+    cfg.offered_load_tps = smoke ? 2'000.0 : 6'000.0;
+    cfg.n_clients = 4;
+    cfg.duration = smoke ? seconds(3) : seconds(8);
+    cfg.warmup = smoke ? seconds(1) : seconds(3);
+    cfg.seed = 17;
+    cfg.ctx.backend = backend;
+    return multizone::run_distribution_cluster(cfg);
+  }
+  core::ClusterConfig cfg;
+  cfg.protocol = Protocol::kPredisPbft;
+  cfg.wan = false;  // LAN shape: the wall backend has no WAN model.
+  cfg.n_consensus = 4;
+  cfg.f = 1;
+  cfg.offered_load_tps = smoke ? 3'000.0 : 10'000.0;
+  cfg.n_clients = 8;
+  cfg.duration = smoke ? seconds(3) : seconds(8);
+  cfg.warmup = smoke ? seconds(1) : seconds(3);
+  cfg.seed = 17;
+  cfg.ctx.backend = backend;
+  const core::ClusterResult r = core::run_cluster(cfg);
+  core::RunReport report = r;
+  report.consistent = r.consistent && r.ledgers_consistent;
+  return report;
+}
+
+Report runtime_campaign(bool smoke) {
+  bool consistent = true;
+  bool sampled = true;
+  bool committed = true;
+  JsonWriter j;
+  j.raw("\"runs\": [\n");
+  // The deterministic oracle first, then the same scenarios on a wall-
+  // clock worker pool: one fresh backend per run, since a Runtime
+  // carries one topology for its lifetime.
+  for (const bool wall : {false, true}) {
+    for (const bool zone : {false, true}) {
+      std::unique_ptr<runtime::ThreadRuntime> pool;
+      if (wall) {
+        runtime::ThreadRuntimeConfig tcfg;
+        tcfg.workers = kWallWorkers;
+        tcfg.latency = runtime::lan_latency();
+        pool = std::make_unique<runtime::ThreadRuntime>(tcfg);
+      }
+      const core::RunReport r = run_on(smoke, zone, pool.get());
+      consistent = consistent && r.consistent;
+      sampled = sampled && r.latency_samples != 0;
+      committed = committed && (zone || r.committed_txs != 0);
+      char row[512];
+      std::snprintf(
+          row, sizeof(row),
+          "    {\"scenario\": \"%s\", \"backend\": \"%s\", \"clock\": "
+          "\"%s\", \"workers\": %zu, \"throughput_tps\": %.1f, "
+          "\"p50_latency_ms\": %s, \"p99_latency_ms\": %s, "
+          "\"latency_samples\": %llu, \"committed_txs\": %llu, "
+          "\"consistent\": %s}%s\n",
+          zone ? "multizone_distribution" : "predis_cluster",
+          wall ? "threads" : "sim", wall ? "wall" : "virtual",
+          wall ? pool->worker_count() : std::size_t{1}, r.throughput_tps,
+          json_ms(r.p50_latency_ms, r.latency_samples, 3).c_str(),
+          json_ms(r.p99_latency_ms, r.latency_samples, 3).c_str(),
+          static_cast<unsigned long long>(r.latency_samples),
+          static_cast<unsigned long long>(r.committed_txs),
+          r.consistent ? "true" : "false", wall && zone ? "" : ",");
+      std::fputs(row, stdout);
+      std::fflush(stdout);
+      j.raw(row);
+    }
+  }
+  j.raw("  ]\n");
+  return {j.buf,
+          {{"consistency", consistent},
+           {"latency samples", sampled},
+           {"cluster commits", committed}}};
+}
+
+struct CampaignKind {
+  const char* name;
+  const char* file;
+  const char* schema;
+  Report (*run)(bool smoke);
+};
+
+constexpr CampaignKind kCampaigns[] = {
+    {"adversary", "BENCH_adversarial.json", "predis-adversarial/1",
+     [](bool smoke) { return swarm_campaign(adversary(), smoke); }},
+    {"recovery", "BENCH_recovery.json", "predis-recovery/1",
+     [](bool smoke) { return swarm_campaign(recovery(), smoke); }},
+    {"trace", "BENCH_latency.json", "predis-latency/3", trace_campaign},
+    {"runtime", "BENCH_runtime.json", "predis-runtime/1", runtime_campaign},
+};
+
+int run_campaign_cmd(const Args& args) {
+  const std::string name = args.get("kind", "");
+  const auto kind =
+      std::find_if(std::begin(kCampaigns), std::end(kCampaigns),
+                   [&](const CampaignKind& k) { return name == k.name; });
+  if (kind == std::end(kCampaigns)) {
+    args.fail("--kind must be adversary, recovery, trace or runtime, not '" +
+              name + "'");
+  }
+  const bool smoke = args.flag("smoke");
+  const Report report = kind->run(smoke);
+
+  JsonWriter j;
+  j.raw("{\n  ");
+  j.kv("schema", kind->schema);
+  j.kv("tool", "predis-sim campaign");
+  j.kv("smoke", smoke);
+  j.raw(report.json + "}\n");
+  const int write_rc = tools::write_file(
+      "predis-sim campaign",
+      args.get("out-dir", ".") + "/" + kind->file, j.buf);
+
+  bool passed = true;
+  std::string summary;
+  for (const auto& [check, ok] : report.checks) {
+    summary += std::string(summary.empty() ? "" : ", ") + check +
+               (ok ? " ok" : " FAILED");
+    passed = passed && ok;
+  }
+  std::printf("\nsummary: %s\n", summary.c_str());
+  if (write_rc != 0) return write_rc;
+  return args.flag("strict") && !passed ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -633,6 +1290,10 @@ int main(int argc, char** argv) {
   if (command == "paper") {
     return run_paper_cmd(
         tools::parse_args(argc, argv, 2, {"figure=", "json"}, kUsage));
+  }
+  if (command == "campaign") {
+    return run_campaign_cmd(tools::parse_args(
+        argc, argv, 2, {"kind=", "smoke", "strict", "out-dir="}, kUsage));
   }
   return usage();
 }
